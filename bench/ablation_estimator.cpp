@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     }
 
     const auto greedy = core::greedy_cluster(
-        sketches, {.theta = config.theta, .estimator = config.estimator});
+        core::kernels::SketchMatrix::from_sketches(sketches), {.theta = config.theta, .estimator = config.estimator});
     table.add_row({config.name,
                    common::fmt_f(std::sqrt(squared / static_cast<double>(pairs)), 4),
                    std::to_string(greedy.num_clusters),

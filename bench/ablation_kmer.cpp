@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     std::vector<core::Sketch> sketches;
     for (const auto& read : shotgun.reads) sketches.push_back(hasher.sketch(read.seq));
     const auto result = core::hierarchical_cluster(
-        sketches, {.theta = 0.5, .linkage = core::Linkage::kAverage,
+        core::kernels::SketchMatrix::from_sketches(sketches), {.theta = 0.5, .linkage = core::Linkage::kAverage,
                    .estimator = core::SketchEstimator::kComponentMatch});
     table.add_row({"whole-metagenome S8", std::to_string(k),
                    std::to_string(result.num_clusters),
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
       sketches.push_back(hasher.sketch(read.seq));
     }
     const auto result = core::hierarchical_cluster(
-        sketches, {.theta = 0.12, .linkage = core::Linkage::kAverage,
+        core::kernels::SketchMatrix::from_sketches(sketches), {.theta = 0.12, .linkage = core::Linkage::kAverage,
                    .estimator = core::SketchEstimator::kComponentMatch});
     table.add_row({"16S simulated 3%", std::to_string(k),
                    std::to_string(result.num_clusters),

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
     double exact_s = -1.0;
     if (run_exact) {
       common::Stopwatch watch;
-      exact = core::greedy_cluster(sketches, greedy);
+      exact = core::greedy_cluster(matrix, greedy);
       exact_s = watch.seconds();
       record.row()
           .num("reads", static_cast<long>(reads))

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     }
 
     const auto hier = core::hierarchical_cluster(
-        sketches, {.theta = 0.5, .linkage = core::Linkage::kAverage,
+        core::kernels::SketchMatrix::from_sketches(sketches), {.theta = 0.5, .linkage = core::Linkage::kAverage,
                    .estimator = core::SketchEstimator::kComponentMatch});
     const double wacc =
         eval::weighted_cluster_accuracy(hier.labels, sample.labels);

@@ -134,7 +134,8 @@ void BM_Agglomerate(benchmark::State& state) {
 BENCHMARK(BM_Agglomerate)->Arg(100)->Arg(200)->Arg(400)->Complexity();
 
 void BM_GreedyCluster(benchmark::State& state) {
-  const auto sketches = bench_sketches(static_cast<std::size_t>(state.range(0)));
+  const auto sketches = core::kernels::SketchMatrix::from_sketches(
+      bench_sketches(static_cast<std::size_t>(state.range(0))));
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::greedy_cluster(sketches, {.theta = 0.3}));
   }

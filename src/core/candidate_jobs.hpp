@@ -39,7 +39,7 @@ struct CandidateJobResult {
 /// enumerates all pairs driver-side (an all-pairs shuffle would itself be
 /// the O(n^2) wall this layer removes).
 CandidateJobResult run_candidate_job(
-    std::shared_ptr<const std::vector<Sketch>> sketches,
+    std::shared_ptr<const kernels::SketchMatrix> sketches,
     const candidates::Params& params, double theta,
     const ExecutionOptions& exec);
 
@@ -52,10 +52,10 @@ struct VerifyJobResult {
 /// MapReduce job.  `pairs` must be sorted unique (run_candidate_job output).
 /// `sketch_bits` is PipelineParams::sketch_bits: below 64 the map tasks score
 /// b-bit packed sketch rows with the packed count_equal kernel (the sketches
-/// must already be b-bit truncated, as the sketch job leaves them).
+/// must already be b-bit truncated, as the sketch stage leaves them).
 VerifyJobResult run_verify_job(
-    std::shared_ptr<const std::vector<Sketch>> sketches,
-    std::vector<candidates::Pair> pairs, SketchEstimator estimator,
+    std::shared_ptr<const kernels::SketchMatrix> sketches,
+    const std::vector<candidates::Pair>& pairs, SketchEstimator estimator,
     std::size_t sketch_bits, const ExecutionOptions& exec);
 
 }  // namespace mrmc::core

@@ -8,9 +8,8 @@ namespace mrmc::core {
 
 namespace {
 
-/// Algorithm 1's sweep, parameterized over the pair-similarity callback so
-/// the flat-matrix and vector<Sketch> entry points share one control flow
-/// (and therefore produce identical labels / comparison counts).
+/// Algorithm 1's sweep, parameterized over the pair-similarity callback (one
+/// per estimator).
 template <typename Similarity>
 GreedyResult greedy_sweep(std::size_t n, const GreedyParams& params,
                           Similarity&& similarity) {
@@ -117,24 +116,6 @@ GreedyResult greedy_cluster_graph(const candidates::SparseSimilarityGraph& graph
   }
   result.num_clusters = static_cast<std::size_t>(next_label);
   return result;
-}
-
-GreedyResult greedy_cluster(std::span<const Sketch> sketches,
-                            const GreedyParams& params) {
-  if (params.estimator == SketchEstimator::kSetBased) {
-    // Sorted unique view of each sketch, precomputed so the set-based
-    // estimator does not re-sort per comparison.
-    const SortedSketchStore store(sketches);
-    return greedy_sweep(sketches.size(), params,
-                        [&](std::size_t i, std::size_t j) {
-                          return store.jaccard(i, j);
-                        });
-  }
-  return greedy_sweep(sketches.size(), params,
-                      [&](std::size_t i, std::size_t j) {
-                        return component_match_similarity(sketches[i],
-                                                          sketches[j]);
-                      });
 }
 
 }  // namespace mrmc::core

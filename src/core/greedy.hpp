@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "core/candidates.hpp"
@@ -32,12 +31,8 @@ struct GreedyResult {
 
 /// Greedy sweep over the flat sketch store.  Component-match comparisons run
 /// the batched count_equal kernel over contiguous rows; set-based pre-sorts
-/// every sketch once into a SortedSketchStore.  Labels, representatives and
-/// the comparison count are identical to the span overload.
+/// every sketch once into a SortedSketchStore.
 GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
-                            const GreedyParams& params);
-
-GreedyResult greedy_cluster(std::span<const Sketch> sketches,
                             const GreedyParams& params);
 
 /// Algorithm 1 over a verified candidate graph instead of raw sketches: a

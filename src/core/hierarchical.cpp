@@ -21,22 +21,14 @@ const char* linkage_name(Linkage linkage) noexcept {
 SimilarityMatrix::SimilarityMatrix(std::size_t n, float fill)
     : n_(n), data_(n * n, fill) {}
 
-SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketches,
-                                            SketchEstimator estimator,
-                                            common::ThreadPool* pool) {
-  const std::size_t n = sketches.rows();
+namespace {
+
+/// Set-based all-pairs fill over pre-sorted sketches, so each comparison is
+/// a linear merge.
+SimilarityMatrix set_based_matrix(const SortedSketchStore& store,
+                                  common::ThreadPool* pool) {
+  const std::size_t n = store.size();
   SimilarityMatrix matrix(n, 0.0F);
-  if (n == 0) return matrix;
-
-  if (estimator == SketchEstimator::kComponentMatch) {
-    // Cache-blocked SIMD fill straight into the matrix storage.
-    kernels::component_match_matrix(sketches, matrix.mutable_data(), n,
-                                    kernels::active_backend(), pool);
-    return matrix;
-  }
-
-  // Set-based: pre-sort once so each comparison is a linear merge.
-  const SortedSketchStore store(sketches);
   auto fill_row = [&](std::size_t i) {
     matrix.set(i, i, 1.0F);
     for (std::size_t j = i + 1; j < n; ++j) {
@@ -47,6 +39,24 @@ SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketche
     pool->parallel_for(n, fill_row);
   } else {
     for (std::size_t i = 0; i < n; ++i) fill_row(i);
+  }
+  return matrix;
+}
+
+}  // namespace
+
+SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketches,
+                                            SketchEstimator estimator,
+                                            common::ThreadPool* pool) {
+  if (estimator == SketchEstimator::kSetBased) {
+    return set_based_matrix(SortedSketchStore(sketches), pool);
+  }
+  const std::size_t n = sketches.rows();
+  SimilarityMatrix matrix(n, 0.0F);
+  if (n != 0) {
+    // Cache-blocked SIMD fill straight into the matrix storage.
+    kernels::component_match_matrix(sketches, matrix.mutable_data(), n,
+                                    kernels::active_backend(), pool);
   }
   return matrix;
 }
@@ -65,20 +75,7 @@ SimilarityMatrix pairwise_similarity_matrix(std::span<const Sketch> sketches,
   }
   if (estimator == SketchEstimator::kSetBased) {
     // The store handles ragged lengths too; same merge as the matrix path.
-    SimilarityMatrix matrix(n, 0.0F);
-    const SortedSketchStore store(sketches);
-    auto fill_row = [&](std::size_t i) {
-      matrix.set(i, i, 1.0F);
-      for (std::size_t j = i + 1; j < n; ++j) {
-        matrix.set(i, j, static_cast<float>(store.jaccard(i, j)));
-      }
-    };
-    if (pool != nullptr && n > 64) {
-      pool->parallel_for(n, fill_row);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) fill_row(i);
-    }
-    return matrix;
+    return set_based_matrix(SortedSketchStore(sketches), pool);
   }
 
   // Ragged component-match (not produced by MinHasher): legacy per-pair
@@ -269,34 +266,17 @@ std::vector<int> cut_dendrogram(const Dendrogram& dendrogram, double theta) {
   return labels;
 }
 
-
-namespace {
-
-HierarchicalResult cluster_from_matrix(const SimilarityMatrix& matrix,
-                                       const HierarchicalParams& params) {
-  HierarchicalResult result;
-  result.dendrogram = agglomerate(matrix, params.linkage);
-  result.labels = cut_dendrogram(result.dendrogram, params.theta);
-  result.num_clusters = count_clusters(result.labels);
-  return result;
-}
-
-}  // namespace
-
 HierarchicalResult hierarchical_cluster(const kernels::SketchMatrix& sketches,
                                         const HierarchicalParams& params,
                                         common::ThreadPool* pool) {
-  if (sketches.empty()) return {};
-  return cluster_from_matrix(
-      pairwise_similarity_matrix(sketches, params.estimator, pool), params);
-}
-
-HierarchicalResult hierarchical_cluster(std::span<const Sketch> sketches,
-                                        const HierarchicalParams& params,
-                                        common::ThreadPool* pool) {
-  if (sketches.empty()) return {};
-  return cluster_from_matrix(
-      pairwise_similarity_matrix(sketches, params.estimator, pool), params);
+  HierarchicalResult result;
+  if (sketches.empty()) return result;
+  result.dendrogram = agglomerate(
+      pairwise_similarity_matrix(sketches, params.estimator, pool),
+      params.linkage);
+  result.labels = cut_dendrogram(result.dendrogram, params.theta);
+  result.num_clusters = count_clusters(result.labels);
+  return result;
 }
 
 std::size_t count_clusters(std::span<const int> labels) {

@@ -109,9 +109,6 @@ struct HierarchicalResult {
 HierarchicalResult hierarchical_cluster(const kernels::SketchMatrix& sketches,
                                         const HierarchicalParams& params,
                                         common::ThreadPool* pool = nullptr);
-HierarchicalResult hierarchical_cluster(std::span<const Sketch> sketches,
-                                        const HierarchicalParams& params,
-                                        common::ThreadPool* pool = nullptr);
 
 /// Number of distinct labels in a labeling (labels must be 0-based dense or
 /// arbitrary ints; counts unique values).

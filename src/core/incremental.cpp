@@ -19,8 +19,13 @@ Sketch sorted_unique(const Sketch& sketch) {
 }  // namespace
 
 IncrementalClusterer::IncrementalClusterer(MinHashParams hasher,
-                                           GreedyParams greedy, LshParams lsh)
-    : hasher_(hasher), greedy_(greedy), index_(hasher.num_hashes, lsh) {}
+                                           GreedyParams greedy,
+                                           std::size_t bands)
+    : hasher_(hasher),
+      greedy_(greedy),
+      index_(hasher.num_hashes,
+             candidates::validated_band_shape(hasher.num_hashes, bands),
+             candidates::Params{}.seed) {}
 
 int IncrementalClusterer::add(std::string_view seq) {
   const Sketch sketch = hasher_.sketch(seq);
@@ -29,6 +34,7 @@ int IncrementalClusterer::add(std::string_view seq) {
 
   int assigned = -1;
   for (const int cluster : index_.candidates(sketch)) {
+    ++comparisons_;
     const double similarity =
         set_based
             ? bio::exact_jaccard(sorted_representatives_[cluster], sorted)

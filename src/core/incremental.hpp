@@ -1,15 +1,17 @@
 // Incremental clustering — absorb new reads into an existing clustering
 // without re-running it, the operational mode for longitudinal studies
 // where samples arrive sequencing-run by sequencing-run.  New reads are
-// matched against existing cluster representatives through the LSH index
-// (greedy semantics); unmatched reads found new clusters.
+// matched against existing cluster representatives through a banded LSH
+// bucket index over the representatives only (greedy semantics, single
+// pass); unmatched reads found new clusters.
 #pragma once
 
 #include <span>
 #include <string_view>
 #include <vector>
 
-#include "core/lsh_index.hpp"
+#include "core/candidates.hpp"
+#include "core/greedy.hpp"
 #include "core/minhash.hpp"
 
 namespace mrmc::core {
@@ -17,9 +19,11 @@ namespace mrmc::core {
 class IncrementalClusterer {
  public:
   /// `hasher` defines the sketch space; `theta` and `estimator` follow
-  /// Algorithm 1's join rule.
+  /// Algorithm 1's join rule.  `bands` must divide the sketch length
+  /// (candidates::validated_band_shape); buckets hash with the default
+  /// candidates::Params seed.
   IncrementalClusterer(MinHashParams hasher, GreedyParams greedy,
-                       LshParams lsh = {});
+                       std::size_t bands = 10);
 
   /// Add one read; returns its (possibly new) cluster label.
   int add(std::string_view seq);
@@ -31,6 +35,10 @@ class IncrementalClusterer {
     return representatives_.size();
   }
   [[nodiscard]] std::size_t num_reads() const noexcept { return reads_added_; }
+  /// Sketch comparisons performed so far (one per indexed candidate tried).
+  [[nodiscard]] std::size_t comparisons() const noexcept {
+    return comparisons_;
+  }
 
   /// Sketch of the representative anchoring `label`.
   [[nodiscard]] const Sketch& representative_sketch(int label) const;
@@ -43,11 +51,12 @@ class IncrementalClusterer {
  private:
   MinHasher hasher_;
   GreedyParams greedy_;
-  LshIndex index_;
+  candidates::LshBucketIndex index_;
   std::vector<Sketch> representatives_;        // raw sketches
   std::vector<Sketch> sorted_representatives_; // sorted-unique (set estimator)
   std::vector<std::size_t> sizes_;
   std::size_t reads_added_ = 0;
+  std::size_t comparisons_ = 0;
 };
 
 }  // namespace mrmc::core

@@ -219,9 +219,6 @@ class SketchMatrix {
   static SketchMatrix from_sketches(
       std::span<const std::vector<std::uint64_t>> sketches);
 
-  /// Inverse of from_sketches (for APIs that still speak vector<Sketch>).
-  [[nodiscard]] std::vector<std::vector<std::uint64_t>> to_sketches() const;
-
   friend bool operator==(const SketchMatrix&, const SketchMatrix&) = default;
 
  private:

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
@@ -74,19 +77,17 @@ struct IndexedRead {
   std::string seq;
 };
 
-/// The knobs the clustering stages actually run with.  At b = 64 they are
-/// the user's params verbatim.  Below 64, estimators fall back to
-/// component-match (set semantics over truncated values are unsound) and
-/// every θ comparison moves to θ' = θ·(1-C) + C — the affine b-bit
-/// correction folded into the threshold, which is decision-identical to
-/// correcting each estimate (and commutes with average linkage).  LSH band
-/// *shape* selection keeps the original θ: truncation only increases
+/// The {θ, estimator} pair the run's clustering mode actually runs with.
+/// At b = 64 it is the user's pair verbatim.  Below 64, the estimator falls
+/// back to component-match (set semantics over truncated values are
+/// unsound) and every θ comparison moves to θ' = θ·(1-C) + C — the affine
+/// b-bit correction folded into the threshold, which is decision-identical
+/// to correcting each estimate (and commutes with average linkage).  LSH
+/// band *shape* selection keeps the original θ: truncation only increases
 /// collision probability, so a shape tuned for J ≥ θ keeps its recall floor.
 struct EffectiveKnobs {
   double theta = 0.0;
-  double greedy_theta = 0.0;
   SketchEstimator estimator = SketchEstimator::kComponentMatch;
-  SketchEstimator greedy_estimator = SketchEstimator::kComponentMatch;
 };
 
 /// A set-based estimator forced onto the component-match scale must carry
@@ -103,15 +104,30 @@ double forced_component_threshold(double theta, SketchEstimator was,
 }
 
 EffectiveKnobs effective_knobs(const PipelineParams& params) noexcept {
-  if (params.sketch_bits >= 64) {
-    return {params.theta, params.theta, params.estimator,
-            params.greedy_estimator};
+  const SketchEstimator estimator = params.mode == Mode::kGreedy
+                                        ? params.greedy_estimator
+                                        : params.estimator;
+  if (params.sketch_bits >= 64) return {params.theta, estimator};
+  return {forced_component_threshold(params.theta, estimator,
+                                     params.sketch_bits),
+          SketchEstimator::kComponentMatch};
+}
+
+/// In-process sketch stage: the batched kernel over every read, then the
+/// same b-bit truncation the sketch job applies before packing, so local
+/// and distributed runs score identical values at any b.
+kernels::SketchMatrix sketch_reads(std::span<const bio::FastaRecord> reads,
+                                   const PipelineParams& params,
+                                   common::ThreadPool* pool) {
+  std::vector<std::string_view> seqs;
+  seqs.reserve(reads.size());
+  for (const auto& read : reads) seqs.emplace_back(read.seq);
+  kernels::SketchMatrix sketches =
+      MinHasher(params.minhash).sketch_matrix(seqs, pool);
+  if (params.sketch_bits < 64) {
+    kernels::mask_components(sketches, sketch_bits_mask(params.sketch_bits));
   }
-  return {forced_component_threshold(params.theta, params.estimator,
-                                     params.sketch_bits),
-          forced_component_threshold(params.theta, params.greedy_estimator,
-                                     params.sketch_bits),
-          SketchEstimator::kComponentMatch, SketchEstimator::kComponentMatch};
+  return sketches;
 }
 
 /// Job 1: sketch every read.  Each map task emits ONE BinaryBlock per input
@@ -120,10 +136,10 @@ EffectiveKnobs effective_knobs(const PipelineParams& params) noexcept {
 /// packed bytes (64/b-fold less at b < 64, and no per-record vector header
 /// even at b = 64).  The identity reduce passes blocks through; the driver
 /// rejoins them positionally via split_index · records_per_split.
-std::vector<Sketch> run_sketch_job(std::span<const bio::FastaRecord> reads,
-                                   const PipelineParams& params,
-                                   const ExecutionOptions& exec,
-                                   mr::JobStats& stats) {
+kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
+                                     const PipelineParams& params,
+                                     const ExecutionOptions& exec,
+                                     mr::JobStats& stats) {
   obs::pipeline::StageScope stage("sketch");
   auto hasher = std::make_shared<MinHasher>(params.minhash);
   const std::size_t num_hashes = params.minhash.num_hashes;
@@ -187,15 +203,12 @@ std::vector<Sketch> run_sketch_job(std::span<const bio::FastaRecord> reads,
   stats = std::move(result.stats);
 
   // Positional rejoin: split s covers reads [s · per_split, ...).
-  std::vector<Sketch> sketches(reads.size());
+  kernels::SketchMatrix sketches(reads.size(), num_hashes);
   for (const auto& [split_index, block] : result.output) {
     const std::size_t first = static_cast<std::size_t>(split_index) * per_split;
     for (std::uint32_t c = 0; c < block.cols(); ++c) {
-      Sketch& sketch = sketches[first + c];
-      sketch.resize(num_hashes);
-      for (std::size_t k = 0; k < num_hashes; ++k) {
-        sketch[k] = block.get(c, k);
-      }
+      const auto row = sketches.row(first + c);
+      for (std::size_t k = 0; k < num_hashes; ++k) row[k] = block.get(c, k);
     }
   }
   return sketches;
@@ -211,13 +224,12 @@ std::vector<Sketch> run_sketch_job(std::span<const bio::FastaRecord> reads,
 /// reciprocal multiply of the mapper, and jaccard_from_counts mirrors
 /// bio::exact_jaccard.  A pair costs one packed lane instead of a 4-byte
 /// float (≥ 4× fewer shuffle bytes at K ≤ 255).
-SimilarityMatrix run_similarity_job(std::shared_ptr<const std::vector<Sketch>> sketches,
-                                    const PipelineParams& params,
-                                    const EffectiveKnobs& knobs,
-                                    const ExecutionOptions& exec,
-                                    mr::JobStats& stats) {
+SimilarityMatrix run_similarity_job(
+    std::shared_ptr<const kernels::SketchMatrix> sketches,
+    const PipelineParams& params, const EffectiveKnobs& knobs,
+    const ExecutionOptions& exec, mr::JobStats& stats) {
   obs::pipeline::StageScope stage("similarity");
-  const std::size_t n = sketches->size();
+  const std::size_t n = sketches->rows();
   const std::size_t num_hashes = params.minhash.num_hashes;
   const SketchEstimator estimator = knobs.estimator;
   const bool set_based = estimator == SketchEstimator::kSetBased;
@@ -256,7 +268,7 @@ SimilarityMatrix run_similarity_job(std::shared_ptr<const std::vector<Sketch>> s
           std::span<const std::uint32_t> split, std::size_t split_index,
           mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
         const auto& all = *sketches;
-        const std::size_t n_reads = all.size();
+        const std::size_t n_reads = all.rows();
         // One ragged column: row r contributes n - r - 1 lanes, upper
         // triangle in row order (the driver knows the lengths).
         std::uint64_t total = 0;
@@ -273,9 +285,10 @@ SimilarityMatrix run_similarity_job(std::shared_ptr<const std::vector<Sketch>> s
               block.set(1, lane, uni);
               sim = jaccard_from_counts(inter, uni);
             } else {
-              const std::size_t eq = all[row].empty()
-                                         ? 0
-                                         : kernels::count_equal(all[row], all[j]);
+              const std::size_t eq =
+                  all.cols() == 0
+                      ? 0
+                      : kernels::count_equal(all.row(row), all.row(j));
               block.set(0, lane, eq);
               sim = static_cast<double>(eq) * inv_cols;
             }
@@ -328,109 +341,43 @@ SimilarityMatrix run_similarity_job(std::shared_ptr<const std::vector<Sketch>> s
   return matrix;
 }
 
-/// Job 3 (greedy): GROUP ALL -> one reducer runs Algorithm 1 over the
-/// sketch table (Algorithm 3, step 9) — or, when the LSH backend supplied a
-/// verified candidate graph, the graph-aware sweep over it.
-std::vector<int> run_greedy_job(
-    std::shared_ptr<const std::vector<Sketch>> sketches,
-    const EffectiveKnobs& knobs, const ExecutionOptions& exec,
-    mr::JobStats& stats,
-    std::shared_ptr<const candidates::SparseSimilarityGraph> graph = nullptr) {
-  obs::pipeline::StageScope stage("greedy-cluster");
-  const std::size_t n = sketches->size();
-  const GreedyParams greedy{knobs.greedy_theta, knobs.greedy_estimator};
-
-  using Value = std::uint32_t;  // read index; sketches travel via the table
-  using GreedyJob = mr::Job<std::uint32_t, int, Value, std::pair<std::uint32_t, int>>;
-
+/// Job 3: GROUP ALL -> one reducer runs the whole-input cluster step
+/// (Algorithm 3, steps 8-9): Algorithm 1's greedy sweep, or the dendrogram
+/// build + θ-cut.  `cluster` is the exact closure the local executor calls
+/// inline; the job only changes where it runs and what it costs.
+std::vector<int> run_cluster_job(
+    const std::string& name, std::size_t n,
+    const std::function<std::vector<int>()>& cluster, double reduce_work,
+    std::size_t records_per_split, const ExecutionOptions& exec,
+    mr::JobStats& stats) {
+  obs::pipeline::StageScope stage(name);
+  using ClusterJob = mr::Job<std::uint32_t, int, std::uint32_t,
+                             std::pair<std::uint32_t, int>>;
   mr::JobConfig config;
-  config.name = "greedy-cluster";
+  config.name = name;
   config.num_reducers = 1;  // GROUP ALL semantics
-  config.records_per_split = exec.records_per_split;
+  config.records_per_split = records_per_split;
   detail::apply_exec_options(config, exec);
 
-  GreedyJob job(
+  ClusterJob job(
       config,
-      [](const std::uint32_t& index, mr::Emitter<int, Value>& emit) {
+      [](const std::uint32_t& index, mr::Emitter<int, std::uint32_t>& emit) {
         emit.emit(0, index);
       },
-      [sketches, greedy, graph](const int&, std::vector<Value>& indices,
-                                std::vector<std::pair<std::uint32_t, int>>& out,
-                                mr::ReduceContext& context) {
-        // Keep input order: values arrive in map-task order which follows
-        // the original read order for our deterministic shuffle.
+      [&cluster](const int&, std::vector<std::uint32_t>& indices,
+                 std::vector<std::pair<std::uint32_t, int>>& out,
+                 mr::ReduceContext& context) {
+        const std::vector<int> labels = cluster();
         std::sort(indices.begin(), indices.end());
-        const GreedyResult result = graph != nullptr
-                                        ? greedy_cluster_graph(*graph, greedy)
-                                        : greedy_cluster(*sketches, greedy);
         for (const std::uint32_t index : indices) {
-          out.emplace_back(index, result.labels[index]);
+          out.emplace_back(index, labels[index]);
         }
-        context.count("clusters.formed",
-                      static_cast<long>(count_clusters(result.labels)));
-      });
-  job.with_map_work([](const std::uint32_t&) { return 1e-7; });  // emit only
-  job.with_reduce_work([n, graph](const int&, std::size_t) {
-    if (graph != nullptr) {
-      // Graph sweep is O(V + E): each edge is inspected at most once.
-      return (static_cast<double>(n) +
-              static_cast<double>(graph->edges.size())) *
-             cost::compare_work(100);
-    }
-    // Greedy comparisons are data dependent; model the observed ~N*sqrt(N)
-    // envelope with the per-comparison sketch cost.
-    return static_cast<double>(n) * std::max(1.0, std::sqrt(static_cast<double>(n))) *
-           cost::compare_work(100);
-  });
-
-  std::vector<std::uint32_t> input(n);
-  for (std::size_t i = 0; i < n; ++i) input[i] = static_cast<std::uint32_t>(i);
-  auto result = job.run(input);
-  stats = std::move(result.stats);
-
-  std::vector<int> labels(n, -1);
-  for (const auto& [index, label] : result.output) labels[index] = label;
-  return labels;
-}
-
-/// Job 3 (hierarchical): GROUP ALL over matrix rows -> one reducer builds
-/// the dendrogram and cuts it at theta (Algorithm 3, step 8).
-std::vector<int> run_hierarchical_job(const SimilarityMatrix& matrix,
-                                      const PipelineParams& params,
-                                      const EffectiveKnobs& knobs,
-                                      const ExecutionOptions& exec,
-                                      mr::JobStats& stats) {
-  obs::pipeline::StageScope stage("hierarchical-cluster");
-  const std::size_t n = matrix.size();
-
-  using HierJob = mr::Job<std::uint32_t, int, std::uint32_t,
-                          std::pair<std::uint32_t, int>>;
-  mr::JobConfig config;
-  config.name = "hierarchical-cluster";
-  config.num_reducers = 1;  // GROUP ALL semantics
-  config.records_per_split = std::max<std::size_t>(1, n / 8);
-  detail::apply_exec_options(config, exec);
-
-  const Linkage linkage = params.linkage;
-  const double theta = knobs.theta;
-  HierJob job(
-      config,
-      [](const std::uint32_t& row, mr::Emitter<int, std::uint32_t>& emit) {
-        emit.emit(0, row);
-      },
-      [&matrix, linkage, theta](const int&, std::vector<std::uint32_t>& rows,
-                                std::vector<std::pair<std::uint32_t, int>>& out,
-                                mr::ReduceContext& context) {
-        const Dendrogram dendrogram = agglomerate(matrix, linkage);
-        const std::vector<int> labels = cut_dendrogram(dendrogram, theta);
-        std::sort(rows.begin(), rows.end());
-        for (const std::uint32_t row : rows) out.emplace_back(row, labels[row]);
         context.count("clusters.formed",
                       static_cast<long>(count_clusters(labels)));
       });
   job.with_map_work([](const std::uint32_t&) { return 1e-7; });  // emit only
   job.with_reduce_work(
-      [n](const int&, std::size_t) { return cost::dendrogram_work(n); });
+      [reduce_work](const int&, std::size_t) { return reduce_work; });
 
   std::vector<std::uint32_t> input(n);
   for (std::size_t i = 0; i < n; ++i) input[i] = static_cast<std::uint32_t>(i);
@@ -449,20 +396,25 @@ std::vector<int> run_hierarchical_job(const SimilarityMatrix& matrix,
 // payload — the property that keeps downstream checkpoints valid after an
 // upstream invalidation.
 
+/// Layout: u64 rows, then per row u64 K followed by its K components.
 void encode_sketches(mr::recovery::PayloadWriter& writer,
-                     const std::vector<Sketch>& sketches) {
-  writer.u64(sketches.size());
-  for (const Sketch& sketch : sketches) {
-    writer.u64(sketch.size());
-    for (const std::uint64_t component : sketch) writer.u64(component);
+                     const kernels::SketchMatrix& sketches) {
+  writer.u64(sketches.rows());
+  for (std::size_t i = 0; i < sketches.rows(); ++i) {
+    writer.u64(sketches.cols());
+    for (const std::uint64_t component : sketches.row(i)) writer.u64(component);
   }
 }
 
-std::vector<Sketch> decode_sketches(mr::recovery::PayloadReader& reader) {
-  std::vector<Sketch> sketches(reader.u64());
-  for (Sketch& sketch : sketches) {
-    sketch.resize(reader.u64());
-    for (std::uint64_t& component : sketch) component = reader.u64();
+kernels::SketchMatrix decode_sketches(mr::recovery::PayloadReader& reader) {
+  const std::size_t rows = reader.u64();
+  kernels::SketchMatrix sketches;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t cols = reader.u64();
+    if (i == 0) sketches = kernels::SketchMatrix(rows, cols);
+    // A ragged payload cannot be a sketch table: treat it as corrupt.
+    if (cols != sketches.cols()) throw common::Error("ragged sketch payload");
+    for (std::uint64_t& component : sketches.row(i)) component = reader.u64();
   }
   return sketches;
 }
@@ -579,134 +531,196 @@ std::uint64_t input_fingerprint(std::span<const bio::FastaRecord> reads) {
   return hasher.finish();
 }
 
-// ------------------------------------------------------- the staged driver
+// ---------------------------------------------------------- the stage list
 
-/// The distributed pipeline as recovery-driver stages.  Stage names are the
-/// lineage stage names; each checkpointed stage runs exactly one MapReduce
-/// job when computed, so a checkpoint hit claims the job's lineage slot and
-/// downstream sequence numbers match an uninterrupted run.
+/// Candidate enumeration under `backend_params`: the "candidates" job when
+/// distributed, candidates::enumerate_pairs in-process.  Both leave the
+/// same pairs and band shape ({0, 0} for the exact backend or < 2 reads).
+CandidateJobResult enumerate_candidates(
+    const std::shared_ptr<const kernels::SketchMatrix>& sketches,
+    const candidates::Params& backend_params, double theta,
+    const ExecutionOptions& exec, common::ThreadPool* pool) {
+  if (exec.distributed) {
+    return run_candidate_job(sketches, backend_params, theta, exec);
+  }
+  CandidateJobResult local;
+  local.pairs =
+      candidates::enumerate_pairs(*sketches, backend_params, theta, pool);
+  if (backend_params.backend == candidates::Backend::kLshBanded &&
+      sketches->rows() >= 2) {
+    local.shape = candidates::resolve_band_shape(backend_params,
+                                                 sketches->cols(), theta);
+  }
+  return local;
+}
+
+/// The LSH-banded front half: candidates -> verify.  Returns the verified
+/// graph; the candidate pairs die with this frame, before any cluster stage.
+candidates::SparseSimilarityGraph run_candidate_stages(
+    const std::shared_ptr<const kernels::SketchMatrix>& sketches,
+    const PipelineParams& params, const EffectiveKnobs& knobs,
+    const ExecutionOptions& exec, common::ThreadPool* pool,
+    mr::recovery::StageDriver& driver, PipelineResult& result) {
+  CandidateJobResult enumerated;
+  try {
+    // Band-shape selection keeps the ORIGINAL theta (see EffectiveKnobs).
+    enumerated = driver.run_stage(
+        "candidates",
+        [&] {
+          return enumerate_candidates(sketches, params.candidates,
+                                      params.theta, exec, pool);
+        },
+        encode_candidates, decode_candidates);
+  } catch (const mr::recovery::RetryExhausted& error) {
+    const std::size_t num_reads = sketches->rows();
+    if (exec.lsh_fallback_max_reads == 0 ||
+        num_reads > exec.lsh_fallback_max_reads) {
+      throw;
+    }
+    // Graceful degradation: banded enumeration keeps failing, but the
+    // input is small enough for the exact oracle — same pairs-at-θ
+    // semantics at O(n^2) cost, computed driver-side (no MR job, hence
+    // no lineage claim).
+    driver.record_lsh_fallback("candidates");
+    static const obs::Logger logger("core.pipeline");
+    logger.warn("candidates stage degraded to exact all-pairs",
+                {{"reads", num_reads},
+                 {"attempts", error.history().size()},
+                 {"error", error.what()}});
+    candidates::Params exact = params.candidates;
+    exact.backend = candidates::Backend::kExactAllPairs;
+    enumerated = driver.run_stage(
+        "candidates-exact-fallback",
+        [&] {
+          return enumerate_candidates(sketches, exact, params.theta, exec,
+                                      pool);
+        },
+        encode_candidates, decode_candidates, {.claims_lineage = false});
+  }
+  result.candidate_stats = std::move(enumerated.stats);
+  result.sim_total_s += result.candidate_stats.timeline.total_s;
+
+  candidates::SparseSimilarityGraph graph = driver.run_stage(
+      "verify",
+      [&] {
+        if (!exec.distributed) {
+          return candidates::verify_pairs(*sketches, enumerated.pairs,
+                                          knobs.estimator, pool);
+        }
+        auto verified = run_verify_job(sketches, enumerated.pairs,
+                                       knobs.estimator, params.sketch_bits,
+                                       exec);
+        result.verify_stats = std::move(verified.stats);
+        return std::move(verified.graph);
+      },
+      encode_graph, decode_graph);
+  result.sim_total_s += result.verify_stats.timeline.total_s;
+  return graph;
+}
+
+/// The pipeline as one list of recovery-driver stages, run by both
+/// executors: sketch -> {candidates -> verify | similarity} -> cluster.
+/// Every stage computes `exec.distributed ? <its MapReduce job> : <the
+/// in-process core call>`; both produce identical values (and therefore
+/// identical checkpoint payloads).  Stage names are the lineage stage
+/// names; each checkpointed stage runs exactly one MapReduce job when
+/// computed distributed, so a checkpoint hit claims the job's lineage slot
+/// and downstream sequence numbers match an uninterrupted run.
 void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
                          const PipelineParams& params,
                          const ExecutionOptions& exec,
                          mr::recovery::StageDriver& driver,
                          PipelineResult& result) {
   const EffectiveKnobs knobs = effective_knobs(params);
+  const std::size_t n = reads.size();
   // Degraded-cluster policy: a plan stranding every node would fail the
   // first job's validation; a checkpointing driver parks for resume instead
   // (an operator repairs the plan/cluster, re-runs, completed stages hit).
-  if (!exec.fault_plan.empty() && driver.checkpointing() &&
+  if (exec.distributed && !exec.fault_plan.empty() && driver.checkpointing() &&
       !exec.fault_plan.leaves_schedulable(exec.cluster.nodes)) {
     driver.park("fault plan leaves no schedulable node");
   }
+  // The in-process stages share one pool; MapReduce jobs lease their own.
+  std::optional<mr::runtime::PoolLease> lease;
+  if (!exec.distributed) lease.emplace(exec.threads, exec.isolated_pool);
+  common::ThreadPool* pool = lease ? &lease->pool() : nullptr;
 
-  auto sketches = std::make_shared<std::vector<Sketch>>(driver.run_stage(
-      "sketch",
-      [&] { return run_sketch_job(reads, params, exec, result.sketch_stats); },
-      encode_sketches, decode_sketches));
+  const auto sketches = std::make_shared<const kernels::SketchMatrix>(
+      driver.run_stage(
+          "sketch",
+          [&] {
+            return exec.distributed ? run_sketch_job(reads, params, exec,
+                                                     result.sketch_stats)
+                                    : sketch_reads(reads, params, pool);
+          },
+          encode_sketches, decode_sketches));
   result.sim_total_s += result.sketch_stats.timeline.total_s;
 
+  std::shared_ptr<const candidates::SparseSimilarityGraph> graph;
   if (params.candidates.backend == candidates::Backend::kLshBanded) {
-    // LSH-banded path: candidates -> verify -> sparse-graph clustering.
-    CandidateJobResult enumerated;
-    try {
-      enumerated = driver.run_stage(
-          "candidates",
-          [&] {
-            return run_candidate_job(sketches, params.candidates, params.theta,
-                                     exec);
-          },
-          encode_candidates, decode_candidates);
-    } catch (const mr::recovery::RetryExhausted& error) {
-      if (exec.lsh_fallback_max_reads == 0 ||
-          reads.size() > exec.lsh_fallback_max_reads) {
-        throw;
-      }
-      // Graceful degradation: banded enumeration keeps failing, but the
-      // input is small enough for the exact oracle — same pairs-at-θ
-      // semantics at O(n^2) cost, computed driver-side (no MR job, hence
-      // no lineage claim).
-      driver.record_lsh_fallback("candidates");
-      static const obs::Logger logger("core.pipeline");
-      logger.warn("candidates stage degraded to exact all-pairs",
-                  {{"reads", reads.size()},
-                   {"attempts", error.history().size()},
-                   {"error", error.what()}});
-      candidates::Params exact = params.candidates;
-      exact.backend = candidates::Backend::kExactAllPairs;
-      enumerated = driver.run_stage(
-          "candidates-exact-fallback",
-          [&] {
-            return run_candidate_job(sketches, exact, params.theta, exec);
-          },
-          encode_candidates, decode_candidates, {.claims_lineage = false});
-    }
-    result.candidate_stats = std::move(enumerated.stats);
-    result.sim_total_s += result.candidate_stats.timeline.total_s;
+    graph = std::make_shared<const candidates::SparseSimilarityGraph>(
+        run_candidate_stages(sketches, params, knobs, exec, pool, driver,
+                             result));
+    result.candidate_pairs = graph->edges.size();
+  }
 
-    const SketchEstimator estimator = params.mode == Mode::kGreedy
-                                          ? knobs.greedy_estimator
-                                          : knobs.estimator;
-    // The compute closure must survive retries, so the verify job gets a
-    // copy of the pairs (its signature takes them by value).
-    candidates::SparseSimilarityGraph verified_graph = driver.run_stage(
-        "verify",
-        [&] {
-          auto verified = run_verify_job(sketches, enumerated.pairs, estimator,
-                                         params.sketch_bits, exec);
-          result.verify_stats = std::move(verified.stats);
-          return std::move(verified.graph);
-        },
-        encode_graph, decode_graph);
-    result.sim_total_s += result.verify_stats.timeline.total_s;
-    result.candidate_pairs = verified_graph.edges.size();
-    auto graph = std::make_shared<const candidates::SparseSimilarityGraph>(
-        std::move(verified_graph));
-
-    if (params.mode == Mode::kGreedy) {
-      result.labels = driver.run_stage(
-          "greedy-cluster",
-          [&] {
-            return run_greedy_job(sketches, knobs, exec, result.cluster_stats,
-                                  graph);
-          },
-          encode_labels, decode_labels);
-    } else {
-      const SimilarityMatrix matrix = similarity_matrix_from_graph(*graph);
-      result.labels = driver.run_stage(
-          "hierarchical-cluster",
-          [&] {
-            return run_hierarchical_job(matrix, params, knobs, exec,
-                                        result.cluster_stats);
-          },
-          encode_labels, decode_labels);
-    }
-    result.sim_total_s += result.cluster_stats.timeline.total_s;
-  } else if (params.mode == Mode::kGreedy) {
-    result.labels = driver.run_stage(
-        "greedy-cluster",
-        [&] {
-          return run_greedy_job(sketches, knobs, exec, result.cluster_stats);
-        },
-        encode_labels, decode_labels);
-    result.sim_total_s += result.cluster_stats.timeline.total_s;
-  } else {
-    const SimilarityMatrix matrix = driver.run_stage(
+  // Hierarchical mode clusters a dense matrix: the similarity stage's, or
+  // the verified graph densified (freeing the graph before agglomerate).
+  const bool greedy = params.mode == Mode::kGreedy;
+  SimilarityMatrix matrix;
+  if (!greedy && graph != nullptr) {
+    matrix = similarity_matrix_from_graph(*graph);
+    graph.reset();
+  } else if (!greedy) {
+    matrix = driver.run_stage(
         "similarity",
         [&] {
-          return run_similarity_job(sketches, params, knobs, exec,
-                                    result.similarity_stats);
+          return exec.distributed
+                     ? run_similarity_job(sketches, params, knobs, exec,
+                                          result.similarity_stats)
+                     : pairwise_similarity_matrix(*sketches, knobs.estimator,
+                                                  pool);
         },
         encode_matrix, decode_matrix);
     result.sim_total_s += result.similarity_stats.timeline.total_s;
-    result.labels = driver.run_stage(
-        "hierarchical-cluster",
-        [&] {
-          return run_hierarchical_job(matrix, params, knobs, exec,
-                                      result.cluster_stats);
-        },
-        encode_labels, decode_labels);
-    result.sim_total_s += result.cluster_stats.timeline.total_s;
   }
+
+  // The cluster step: called inline by the local executor, and by the
+  // single GROUP-ALL reducer when distributed.
+  const GreedyParams greedy_params{knobs.theta, knobs.estimator};
+  const std::function<std::vector<int>()> cluster = [&] {
+    if (!greedy) {
+      return cut_dendrogram(agglomerate(matrix, params.linkage), knobs.theta);
+    }
+    return graph != nullptr ? greedy_cluster_graph(*graph, greedy_params).labels
+                            : greedy_cluster(*sketches, greedy_params).labels;
+  };
+  // Simulated reducer cost.  The graph sweep is O(V + E): each edge is
+  // inspected at most once.  Exhaustive greedy comparisons are data
+  // dependent; model the observed ~N*sqrt(N) envelope.
+  const auto vertices = static_cast<double>(n);
+  double reduce_work = cost::dendrogram_work(n);
+  if (greedy) {
+    const double comparisons =
+        graph != nullptr
+            ? vertices + static_cast<double>(graph->edges.size())
+            : vertices * std::max(1.0, std::sqrt(vertices));
+    reduce_work = comparisons * cost::compare_work(100);
+  }
+  const std::string cluster_stage =
+      greedy ? "greedy-cluster" : "hierarchical-cluster";
+  result.labels = driver.run_stage(
+      cluster_stage,
+      [&] {
+        return exec.distributed
+                   ? run_cluster_job(cluster_stage, n, cluster, reduce_work,
+                                     greedy ? exec.records_per_split
+                                            : std::max<std::size_t>(1, n / 8),
+                                     exec, result.cluster_stats)
+                   : cluster();
+      },
+      encode_labels, decode_labels);
+  result.sim_total_s += result.cluster_stats.timeline.total_s;
 }
 
 }  // namespace
@@ -737,8 +751,15 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
                             const PipelineParams& params,
                             const ExecutionOptions& exec) {
   common::Stopwatch watch;
+  // Reject bad parameters here, before the driver's retry loop could turn
+  // them into RetryExhausted (and, for candidates, into the exact fallback).
   MRMC_REQUIRE(valid_sketch_bits(params.sketch_bits),
                "sketch_bits must be one of {1, 2, 4, 8, 16, 32, 64}");
+  MRMC_REQUIRE(params.theta >= 0.0 && params.theta <= 1.0, "theta in [0, 1]");
+  if (params.candidates.backend == candidates::Backend::kLshBanded) {
+    (void)candidates::resolve_band_shape(
+        params.candidates, params.minhash.num_hashes, params.theta);
+  }
   PipelineResult result;
   if (reads.empty()) return result;
 
@@ -748,88 +769,43 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
       {{"reads", std::to_string(reads.size())},
        {"distributed", exec.distributed ? "true" : "false"}});
 
+  // Lineage root (distributed only): every job this pipeline drives claims
+  // a (pipeline id, stage, sequence) from this scope, so the doctor can
+  // stitch the jobs back into one PipelineReport from the trace alone.
+  std::optional<obs::pipeline::PipelineScope> lineage;
   if (exec.distributed) {
-    // Lineage root: every job this pipeline drives claims a (pipeline id,
-    // stage, sequence) from this scope, so the doctor can stitch the jobs
-    // back into one PipelineReport from the trace alone.
-    obs::pipeline::PipelineScope lineage(std::string("pipeline-") +
-                                         mode_name(params.mode));
-
-    mr::recovery::StageDriver::Options driver_options;
-    driver_options.label = std::string("pipeline-") + mode_name(params.mode);
-    driver_options.checkpoint_dir = exec.checkpoint_dir;
-    driver_options.retry.max_job_attempts = exec.max_job_attempts;
-    driver_options.retry.job_timeout_s = exec.job_timeout_s;
-    driver_options.retry.backoff_base_s = exec.backoff_base_s;
-    driver_options.retry.backoff_cap_s = exec.backoff_cap_s;
-    driver_options =
-        mr::recovery::StageDriver::Options::from_env(driver_options);
-    if (!driver_options.checkpoint_dir.empty()) {
-      // Only fingerprint when checkpointing: the input hash walks every
-      // read and is wasted work otherwise.
-      driver_options.params_fingerprint = params_fingerprint(params);
-      driver_options.input_fingerprint = input_fingerprint(reads);
-    }
-    mr::recovery::StageDriver driver(driver_options);
-
-    try {
-      run_pipeline_stages(reads, params, exec, driver, result);
-    } catch (...) {
-      // A crashed/parked/exhausted driver still leaves complete artifacts
-      // behind — the resume run's doctor needs this run's trace.
-      result.recovery = driver.stats();
-      tracer.flush();
-      obs::Registry::write_global_if_configured();
-      obs::report::Collector::write_global_if_configured();
-      obs::pipeline::Collector::write_global_if_configured();
-      throw;
-    }
-    result.recovery = driver.stats();
-  } else {
-    const EffectiveKnobs knobs = effective_knobs(params);
-    const MinHasher hasher(params.minhash);
-    std::vector<std::string_view> seqs;
-    seqs.reserve(reads.size());
-    for (const auto& read : reads) seqs.emplace_back(read.seq);
-
-    mr::runtime::PoolLease lease(exec.threads, exec.isolated_pool);
-    kernels::SketchMatrix sketches = hasher.sketch_matrix(seqs, &lease.pool());
-    // The same b-bit truncation the sketch job applies before packing, so
-    // local and distributed runs score identical values at any b.
-    if (params.sketch_bits < 64) {
-      kernels::mask_components(sketches, sketch_bits_mask(params.sketch_bits));
-    }
-
-    if (params.candidates.backend == candidates::Backend::kLshBanded) {
-      // Same candidates -> verify -> graph flow as the distributed path,
-      // computed in-process (byte-identical output either way).  Band-shape
-      // selection keeps the ORIGINAL theta (see EffectiveKnobs).
-      const SketchEstimator estimator = params.mode == Mode::kGreedy
-                                            ? knobs.greedy_estimator
-                                            : knobs.estimator;
-      const candidates::SparseSimilarityGraph graph = candidates::build_graph(
-          sketches, params.candidates, params.theta, estimator, &lease.pool());
-      result.candidate_pairs = graph.edges.size();
-      if (params.mode == Mode::kGreedy) {
-        result.labels =
-            greedy_cluster_graph(graph, {knobs.greedy_theta, knobs.greedy_estimator})
-                .labels;
-      } else {
-        const SimilarityMatrix matrix = similarity_matrix_from_graph(graph);
-        result.labels = cut_dendrogram(agglomerate(matrix, params.linkage),
-                                       knobs.theta);
-      }
-    } else if (params.mode == Mode::kGreedy) {
-      result.labels =
-          greedy_cluster(sketches, {knobs.greedy_theta, knobs.greedy_estimator}).labels;
-    } else {
-      result.labels = hierarchical_cluster(
-                          sketches,
-                          {knobs.theta, params.linkage, knobs.estimator},
-                          &lease.pool())
-                          .labels;
-    }
+    lineage.emplace(std::string("pipeline-") + mode_name(params.mode));
   }
+
+  mr::recovery::StageDriver::Options driver_options;
+  driver_options.label = std::string("pipeline-") + mode_name(params.mode);
+  driver_options.checkpoint_dir = exec.checkpoint_dir;
+  driver_options.retry.max_job_attempts = exec.max_job_attempts;
+  driver_options.retry.job_timeout_s = exec.job_timeout_s;
+  driver_options.retry.backoff_base_s = exec.backoff_base_s;
+  driver_options.retry.backoff_cap_s = exec.backoff_cap_s;
+  driver_options = mr::recovery::StageDriver::Options::from_env(driver_options);
+  if (!driver_options.checkpoint_dir.empty()) {
+    // Only fingerprint when checkpointing: the input hash walks every
+    // read and is wasted work otherwise.
+    driver_options.params_fingerprint = params_fingerprint(params);
+    driver_options.input_fingerprint = input_fingerprint(reads);
+  }
+  mr::recovery::StageDriver driver(driver_options);
+
+  try {
+    run_pipeline_stages(reads, params, exec, driver, result);
+  } catch (...) {
+    // A crashed/parked/exhausted driver still leaves complete artifacts
+    // behind — the resume run's doctor needs this run's trace.
+    result.recovery = driver.stats();
+    tracer.flush();
+    obs::Registry::write_global_if_configured();
+    obs::report::Collector::write_global_if_configured();
+    obs::pipeline::Collector::write_global_if_configured();
+    throw;
+  }
+  result.recovery = driver.stats();
 
   result.num_clusters = count_clusters(result.labels);
   result.wall_s = watch.seconds();

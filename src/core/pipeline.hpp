@@ -1,9 +1,14 @@
 // End-to-end MrMC-MinH pipeline (Figure 1 of the paper): FASTA records ->
 // integer encoding -> k-mer feature sets -> minwise sketches -> pair
 // enumeration (core::candidates) -> greedy or agglomerative hierarchical
-// clustering, with each stage runnable either locally or as a MapReduce job
-// on the simulated cluster.  The job sequence depends on the candidate
-// backend (PipelineParams::candidates):
+// clustering.  The pipeline is ONE stage list, driven by one
+// mr::recovery::StageDriver for both executors: each stage runs either
+// in-process (ExecutionOptions::distributed = false) or as a MapReduce job
+// on the simulated cluster, and both produce identical stage values.  So
+// checkpoints, the retry policy, the MRMC_CRASH_AFTER_STAGE /
+// MRMC_FAIL_STAGE hooks and the LSH -> exact fallback apply to either
+// executor, and a run crashed on one resumes on the other.  The stage
+// sequence depends on the candidate backend (PipelineParams::candidates):
 //
 //   "sketch"       map: read -> (read_index, sketch)        [always; map-heavy]
 //   -- exact all-pairs backend (the paper's shape, the default) --
@@ -20,7 +25,7 @@
 //                   (Algorithm 3, steps 6-9)
 //
 // Simulated job timelines accumulate into PipelineResult::sim_total_s, the
-// number the paper's Table III/V "Time" columns report.
+// number the paper's Table III/V "Time" columns report (0 for local runs).
 #pragma once
 
 #include <cstdint>
@@ -73,27 +78,28 @@ struct ExecutionOptions {
   /// `threads == 0`, e.g. to keep a latency-sensitive host isolated.
   bool isolated_pool = false;
   std::size_t records_per_split = 512;
-  /// Node-failure schedule applied to every job in the pipeline (empty =
-  /// fault-free).  The clustering output is byte-identical either way; only
+  /// Node-failure schedule applied to every job of a distributed run (empty
+  /// = fault-free; local runs schedule no tasks).  The clustering output is byte-identical either way; only
   /// the simulated timelines pay for the lost work.
   mr::faults::FaultPlan fault_plan{};
   /// Heartbeat-detection interval override for the fault plan (forwarded to
   /// every JobConfig); 0 = keep the plan's own FaultConfig value.
   double heartbeat_interval_s = 0.0;
-  /// Driver-level retry policy around every stage's job (see
-  /// mr::recovery::RetryPolicy / JobConfig): attempts per job, per-attempt
+  /// Driver-level retry policy around every stage, on either executor (see
+  /// mr::recovery::RetryPolicy / JobConfig): attempts per stage, per-attempt
   /// wall deadline, exponential-backoff shape.  Exhaustion throws
   /// mr::recovery::RetryExhausted with the attempt history.
   int max_job_attempts = 1;
   double job_timeout_s = 0.0;
   double backoff_base_s = 0.5;
   double backoff_cap_s = 30.0;
-  /// Durable stage checkpoints (mr::recovery): directory for checkpoint
-  /// files; "" falls back to MRMC_CHECKPOINT_DIR (unset = disabled).  With
-  /// checkpoints on, a restarted run serves completed stages from disk and
-  /// produces byte-identical labels; note sim/job stats of checkpoint-hit
-  /// stages stay empty (their jobs never ran), so sim_total_s covers only
-  /// the stages computed in *this* process.
+  /// Durable stage checkpoints (mr::recovery), for either executor:
+  /// directory for checkpoint files; "" falls back to MRMC_CHECKPOINT_DIR
+  /// (unset = disabled).  With checkpoints on, a restarted run — local or
+  /// distributed — serves completed stages from disk and produces
+  /// byte-identical labels; note sim/job stats of checkpoint-hit stages
+  /// stay empty (their jobs never ran), so sim_total_s covers only the
+  /// stages computed in *this* process.
   std::string checkpoint_dir;
   /// Graceful degradation: when the LshBanded candidates stage exhausts its
   /// retry budget and the input has at most this many reads, rerun pair
@@ -114,7 +120,7 @@ struct PipelineResult {
   mr::JobStats cluster_stats;
   std::size_t candidate_pairs = 0;  ///< scored pairs (LSH backend only)
   /// What the recovery stage driver did: checkpoint hits/misses/writes,
-  /// retries, fallbacks (distributed path only; all-zero otherwise).
+  /// retries, fallbacks — on either executor.
   mr::recovery::RecoveryStats recovery;
 };
 

@@ -229,8 +229,9 @@ Bag GreedyClustering::exec(const Tuple& input) const {
   for (const Tuple& tuple : group) {
     sketches.push_back(to_sketch(tuple.get<std::vector<long>>(0)));
   }
-  const core::GreedyResult result =
-      core::greedy_cluster(sketches, {cutoff_, estimator_});
+  const core::GreedyResult result = core::greedy_cluster(
+      core::kernels::SketchMatrix::from_sketches(sketches),
+      {cutoff_, estimator_});
 
   Bag out;
   out.reserve(group.size());

@@ -20,6 +20,7 @@
 #include "core/candidate_jobs.hpp"
 #include "core/greedy.hpp"
 #include "core/hierarchical.hpp"
+#include "core/incremental.hpp"
 #include "core/kernels.hpp"
 #include "core/pipeline.hpp"
 #include "eval/candidate_recall.hpp"
@@ -55,7 +56,19 @@ kernels::SketchMatrix family_matrix(std::size_t families, std::size_t per_family
       std::span<const Sketch>(sketches));
 }
 
+/// A random sketch of `length` components.
+Sketch random_sketch(common::Xoshiro256& rng, std::size_t length) {
+  Sketch sketch(length);
+  for (auto& v : sketch) v = rng();
+  return sketch;
+}
+
 // ---------------------------------------------------------------- the S-curve
+
+TEST(LshCollisionProbability, BoundaryValues) {
+  EXPECT_DOUBLE_EQ(candidates::lsh_collision_probability(0.0, 10, 5), 0.0);
+  EXPECT_DOUBLE_EQ(candidates::lsh_collision_probability(1.0, 10, 5), 1.0);
+}
 
 TEST(CollisionProbability, MonotoneInSimilarity) {
   for (const auto [bands, rows] :
@@ -145,6 +158,61 @@ TEST(BandShape, ResolveHonorsExplicitBands) {
                common::InvalidArgument);
 }
 
+// ------------------------------------------------------ incremental index
+
+TEST(LshIndex, RejectsBadShapes) {
+  // The incremental clusterer validates its band count against the sketch.
+  const MinHashParams hashes{.kmer = 12, .num_hashes = 50};
+  EXPECT_THROW(IncrementalClusterer(hashes, {}, 7), common::InvalidArgument);
+  EXPECT_THROW(IncrementalClusterer(hashes, {}, 0), common::InvalidArgument);
+  EXPECT_THROW(candidates::LshBucketIndex(50, {7, 7}, 1),
+               common::InvalidArgument);
+  candidates::LshBucketIndex index(
+      50, candidates::validated_band_shape(50, 10), 1);
+  EXPECT_THROW(index.insert(0, Sketch(49)), common::InvalidArgument);
+  EXPECT_THROW((void)index.candidates(Sketch(51)), common::InvalidArgument);
+}
+
+TEST(LshIndex, IdenticalSketchesAlwaysCandidates) {
+  candidates::LshBucketIndex index(40, {8, 5}, candidates::Params{}.seed);
+  common::Xoshiro256 rng(1);
+  const Sketch sketch = random_sketch(rng, 40);
+  index.insert(7, sketch);
+  const auto candidates = index.candidates(sketch);
+  ASSERT_EQ(candidates.size(), 1u);
+  EXPECT_EQ(candidates[0], 7);
+  EXPECT_EQ(index.size(), 1u);
+}
+
+TEST(LshIndex, DisjointSketchesRarelyCollide) {
+  candidates::LshBucketIndex index(40, {8, 5}, candidates::Params{}.seed);
+  common::Xoshiro256 rng(2);
+  for (int id = 0; id < 50; ++id) index.insert(id, random_sketch(rng, 40));
+  EXPECT_LT(index.candidates(random_sketch(rng, 40)).size(), 3u);
+}
+
+TEST(LshIndex, SimilarSketchesCollide) {
+  // rows = 2: a sensitive shape.
+  candidates::LshBucketIndex index(40, {20, 2}, candidates::Params{}.seed);
+  common::Xoshiro256 rng(3);
+  const Sketch base = random_sketch(rng, 40);
+  index.insert(0, base);
+  Sketch similar = base;
+  for (std::size_t i = 0; i < 4; ++i) similar[i * 10] = rng();  // J ~ 0.9
+  const auto candidates = index.candidates(similar);
+  ASSERT_FALSE(candidates.empty());
+  EXPECT_EQ(candidates[0], 0);
+}
+
+TEST(LshIndex, CandidatesDedupAcrossBands) {
+  candidates::LshBucketIndex index(40, {8, 5}, candidates::Params{}.seed);
+  common::Xoshiro256 rng(4);
+  const Sketch sketch = random_sketch(rng, 40);
+  index.insert(1, sketch);
+  // The same id collides in all 8 bands but must be returned once.
+  EXPECT_EQ(index.candidates(sketch).size(), 1u);
+}
+
 // -------------------------------------------------------------- enumeration
 
 TEST(EnumeratePairs, ExactBackendIsAllPairs) {
@@ -228,15 +296,13 @@ TEST(VerifyPairs, IdenticalUnderScalarAndActiveKernelBackends) {
 // ------------------------------------------------------------- graph greedy
 
 TEST(GreedyClusterGraph, MatchesExhaustiveSweepOnTheExactGraph) {
-  const auto sketches = family_sketches(6, 7, 40, 0.15, 16);
-  const auto matrix = kernels::SketchMatrix::from_sketches(
-      std::span<const Sketch>(sketches));
+  const auto matrix = family_matrix(6, 7, 40, 0.15, 16);
   for (const auto estimator :
        {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
     const GreedyParams params{.theta = 0.6, .estimator = estimator};
     const auto graph = candidates::build_graph(matrix, {}, 0.6, estimator);
     const auto from_graph = greedy_cluster_graph(graph, params);
-    const auto exhaustive = greedy_cluster(sketches, params);
+    const auto exhaustive = greedy_cluster(matrix, params);
     EXPECT_EQ(from_graph.labels, exhaustive.labels);
     EXPECT_EQ(from_graph.num_clusters, exhaustive.num_clusters);
     EXPECT_EQ(from_graph.representatives, exhaustive.representatives);
@@ -263,10 +329,10 @@ TEST(GreedyClusterGraph, RejectsOutOfRangeEdges) {
 
 class CandidateJobTest : public ::testing::Test {
  protected:
-  static std::shared_ptr<const std::vector<Sketch>> shared_family(
+  static std::shared_ptr<const kernels::SketchMatrix> shared_family(
       std::uint64_t seed) {
-    return std::make_shared<const std::vector<Sketch>>(
-        family_sketches(7, 6, 40, 0.05, seed));
+    return std::make_shared<const kernels::SketchMatrix>(
+        family_matrix(7, 6, 40, 0.05, seed));
   }
 
   static candidates::Params lsh_params() {
@@ -278,8 +344,7 @@ class CandidateJobTest : public ::testing::Test {
 
 TEST_F(CandidateJobTest, MatchesLocalEnumerationExactAndLsh) {
   const auto sketches = shared_family(21);
-  const auto matrix = kernels::SketchMatrix::from_sketches(
-      std::span<const Sketch>(*sketches));
+  const auto& matrix = *sketches;
   ExecutionOptions exec;
 
   const auto exact = run_candidate_job(sketches, {}, 0.9, exec);
@@ -316,8 +381,7 @@ TEST_F(CandidateJobTest, ByteIdenticalAcrossThreadsSplitsAndNodes) {
 
 TEST_F(CandidateJobTest, VerifyJobMatchesLocalScoring) {
   const auto sketches = shared_family(23);
-  const auto matrix = kernels::SketchMatrix::from_sketches(
-      std::span<const Sketch>(*sketches));
+  const auto& matrix = *sketches;
   ExecutionOptions exec;
   exec.records_per_split = 16;
   for (const auto estimator :

@@ -219,7 +219,8 @@ TEST(HierarchicalCluster, EndToEndRecoversFamilies) {
     }
   }
   const HierarchicalResult result =
-      hierarchical_cluster(sketches, {.theta = 0.5, .linkage = Linkage::kAverage});
+      hierarchical_cluster(kernels::SketchMatrix::from_sketches(sketches),
+                           {.theta = 0.5, .linkage = Linkage::kAverage});
   EXPECT_EQ(result.num_clusters, 3u);
   EXPECT_EQ(result.labels.size(), 21u);
   EXPECT_EQ(result.dendrogram.merges.size(), 20u);
@@ -227,7 +228,7 @@ TEST(HierarchicalCluster, EndToEndRecoversFamilies) {
 
 TEST(HierarchicalCluster, EmptyInput) {
   const HierarchicalResult result =
-      hierarchical_cluster(std::span<const Sketch>{}, {});
+      hierarchical_cluster(kernels::SketchMatrix{}, {});
   EXPECT_TRUE(result.labels.empty());
   EXPECT_EQ(result.num_clusters, 0u);
 }

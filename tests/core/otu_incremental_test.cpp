@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string_view>
 
 #include "common/error.hpp"
+#include "common/prng.hpp"
+#include "core/greedy.hpp"
 #include "core/incremental.hpp"
 #include "core/otu_table.hpp"
 #include "simdata/marker16s.hpp"
@@ -84,7 +87,7 @@ IncrementalClusterer make_clusterer() {
   return IncrementalClusterer({.kmer = 12, .num_hashes = 40, .seed = 2},
                               {.theta = 0.4,
                                .estimator = SketchEstimator::kComponentMatch},
-                              {.bands = 20});
+                              20);
 }
 
 TEST(IncrementalClusterer, GrowsClustersAcrossBatches) {
@@ -113,26 +116,88 @@ TEST(IncrementalClusterer, SizesSumToReads) {
   EXPECT_EQ(total, reads.size());
 }
 
-TEST(IncrementalClusterer, MatchesBatchIndexedGreedy) {
-  const auto reads = otu_reads(4, 6, 12);
-  const MinHasher hasher({.kmer = 12, .num_hashes = 40, .seed = 2});
-  std::vector<Sketch> sketches;
-  for (const auto& seq : reads) sketches.push_back(hasher.sketch(seq));
-  const GreedyParams greedy{.theta = 0.4,
-                            .estimator = SketchEstimator::kComponentMatch};
-  const auto batch = greedy_cluster_indexed(sketches, greedy, {.bands = 20});
-
-  auto clusterer = make_clusterer();
-  std::vector<int> incremental;
-  for (const auto& seq : reads) incremental.push_back(clusterer.add(seq));
-  EXPECT_EQ(incremental, batch.labels);
-}
-
 TEST(IncrementalClusterer, RepresentativeSketchAccessible) {
   auto clusterer = make_clusterer();
   const int label = clusterer.add(otu_reads(1, 1, 13).front());
   EXPECT_EQ(clusterer.representative_sketch(label).size(), 40u);
   EXPECT_THROW((void)clusterer.representative_sketch(99), common::InvalidArgument);
+}
+
+// ---------------------------------------------------- indexed greedy sweep
+// IncrementalClusterer::add_all over a fresh clusterer is the batch greedy
+// sweep with LSH-indexed representatives.
+
+/// `families` random 100-bp sequences, each followed by `per_family - 1`
+/// copies carrying `substitutions` random point substitutions.
+std::vector<std::string> family_reads(std::size_t families,
+                                      std::size_t per_family,
+                                      std::size_t substitutions,
+                                      std::uint64_t seed) {
+  common::Xoshiro256 rng(seed);
+  std::vector<std::string> reads;
+  for (std::size_t f = 0; f < families; ++f) {
+    std::string base(100, 'A');
+    for (char& c : base) c = "ACGT"[rng.bounded(4)];
+    reads.push_back(base);
+    for (std::size_t m = 1; m < per_family; ++m) {
+      std::string member = base;
+      for (std::size_t s = 0; s < substitutions; ++s) {
+        member[rng.bounded(member.size())] = "ACGT"[rng.bounded(4)];
+      }
+      reads.push_back(std::move(member));
+    }
+  }
+  return reads;
+}
+
+constexpr MinHashParams kFamilyHashes{.kmer = 12, .num_hashes = 40, .seed = 2};
+
+GreedyResult exact_greedy(const std::vector<std::string>& reads,
+                          const GreedyParams& params) {
+  const std::vector<std::string_view> views(reads.begin(), reads.end());
+  return greedy_cluster(MinHasher(kFamilyHashes).sketch_matrix(views), params);
+}
+
+TEST(GreedyClusterIndexed, MatchesExactGreedyOnSeparatedData) {
+  const auto reads = family_reads(5, 12, 1, 5);
+  const GreedyParams params{.theta = 0.5,
+                            .estimator = SketchEstimator::kComponentMatch};
+  IncrementalClusterer indexed(kFamilyHashes, params, 20);
+  const std::vector<std::string_view> views(reads.begin(), reads.end());
+  const auto exact = exact_greedy(reads, params);
+  EXPECT_EQ(indexed.add_all(views), exact.labels);
+  EXPECT_EQ(indexed.num_clusters(), exact.num_clusters);
+}
+
+TEST(GreedyClusterIndexed, FarFewerComparisonsThanExact) {
+  const auto reads = family_reads(40, 10, 1, 6);
+  const GreedyParams params{.theta = 0.5,
+                            .estimator = SketchEstimator::kComponentMatch};
+  IncrementalClusterer indexed(kFamilyHashes, params, 20);
+  const std::vector<std::string_view> views(reads.begin(), reads.end());
+  (void)indexed.add_all(views);
+  const auto exact = exact_greedy(reads, params);
+  EXPECT_EQ(indexed.num_clusters(), exact.num_clusters);
+  EXPECT_LT(indexed.comparisons(), exact.comparisons / 4);
+}
+
+TEST(GreedyClusterIndexed, EmptyAndSingle) {
+  IncrementalClusterer clusterer(kFamilyHashes, {.theta = 0.5}, 8);
+  EXPECT_TRUE(clusterer.add_all({}).empty());
+  EXPECT_EQ(clusterer.num_clusters(), 0u);
+  EXPECT_EQ(clusterer.add(family_reads(1, 1, 0, 7).front()), 0);
+  EXPECT_EQ(clusterer.num_clusters(), 1u);
+}
+
+TEST(GreedyClusterIndexed, LabelsAreDense) {
+  const auto reads = family_reads(6, 6, 8, 8);
+  IncrementalClusterer clusterer(kFamilyHashes, {.theta = 0.6}, 10);
+  const std::vector<std::string_view> views(reads.begin(), reads.end());
+  const auto labels = clusterer.add_all(views);
+  const std::set<int> distinct(labels.begin(), labels.end());
+  EXPECT_EQ(distinct.size(), clusterer.num_clusters());
+  EXPECT_EQ(*distinct.begin(), 0);
+  EXPECT_EQ(*distinct.rbegin(), static_cast<int>(distinct.size()) - 1);
 }
 
 }  // namespace

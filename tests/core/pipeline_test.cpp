@@ -236,6 +236,26 @@ TEST(Pipeline, RejectsInvalidSketchBits) {
   EXPECT_THROW(run_pipeline(sample.reads, params), common::InvalidArgument);
   params.sketch_bits = 0;
   EXPECT_THROW(run_pipeline(sample.reads, params), common::InvalidArgument);
+
+  // θ outside [0, 1] and a band count that does not divide K are rejected
+  // up front on both executors: never retried into RetryExhausted, never
+  // routed into the LSH -> exact fallback.
+  auto bad_bands = base_params(Mode::kGreedy);
+  bad_bands.candidates.backend = candidates::Backend::kLshBanded;
+  bad_bands.candidates.bands = 6;  // K = 64
+  auto bad_theta = bad_bands;
+  bad_theta.candidates.bands = 0;
+  bad_theta.theta = 1.5;
+  for (const bool distributed : {true, false}) {
+    ExecutionOptions exec;
+    exec.distributed = distributed;
+    EXPECT_THROW(run_pipeline(sample.reads, bad_bands, exec),
+                 common::InvalidArgument)
+        << "distributed=" << distributed;
+    EXPECT_THROW(run_pipeline(sample.reads, bad_theta, exec),
+                 common::InvalidArgument)
+        << "distributed=" << distributed;
+  }
 }
 
 }  // namespace

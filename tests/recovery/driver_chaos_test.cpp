@@ -1,8 +1,9 @@
-// Driver-scope chaos tests: the PR's headline invariant.  For every
-// pipeline shape, kill the driver (MRMC_CRASH_AFTER_STAGE) after each
-// stage in turn — across fault plans and thread counts — and the resumed
-// run must produce byte-identical cluster labels with every completed
-// stage served from checkpoint (asserted via the hit counters).
+// Driver-scope chaos tests.  For every pipeline shape and both executors,
+// kill the driver (MRMC_CRASH_AFTER_STAGE) after each stage in turn —
+// across fault plans and thread counts — and the resumed run must produce
+// byte-identical cluster labels with every completed stage served from
+// checkpoint (asserted via the hit counters).  Both executors write the
+// same stage payloads, so a run crashed on one resumes on the other.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -94,8 +95,10 @@ std::vector<PipelineCase> pipeline_cases() {
 
 ExecutionOptions exec_options(std::size_t threads,
                               const mr::faults::FaultPlan& plan,
-                              const std::string& checkpoint_dir) {
+                              const std::string& checkpoint_dir,
+                              bool distributed = true) {
   ExecutionOptions exec;
+  exec.distributed = distributed;
   exec.threads = threads;
   exec.records_per_split = 16;
   exec.fault_plan = plan;
@@ -105,9 +108,17 @@ ExecutionOptions exec_options(std::size_t threads,
 
 TEST(DriverChaos, KillAfterEveryStageResumesByteIdentical) {
   const auto reads = sample_reads();
-  const std::vector<std::pair<std::string, mr::faults::FaultPlan>> plans = {
-      {"fault-free", {}},
-      {"recovering-node", mr::faults::FaultPlan({{1, 9.0, 40.0}})},
+  // (executor, fault plan) pairs: a fault plan schedules MapReduce tasks,
+  // so the local executor only runs fault-free.
+  struct Setup {
+    bool distributed;
+    std::string plan_name;
+    mr::faults::FaultPlan plan;
+  };
+  const std::vector<Setup> setups = {
+      {true, "fault-free", {}},
+      {true, "recovering-node", mr::faults::FaultPlan({{1, 9.0, 40.0}})},
+      {false, "fault-free", {}},
   };
 
   for (const PipelineCase& c : pipeline_cases()) {
@@ -117,22 +128,23 @@ TEST(DriverChaos, KillAfterEveryStageResumesByteIdentical) {
         run_pipeline(reads, c.params, exec_options(2, {}, ""));
     ASSERT_EQ(baseline.labels.size(), reads.size());
 
-    for (const auto& [plan_name, plan] : plans) {
+    for (const auto& [distributed, plan_name, plan] : setups) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
         for (std::size_t kill = 0; kill < c.stages.size(); ++kill) {
-          SCOPED_TRACE(c.name + " / " + plan_name + " / threads=" +
-                       std::to_string(threads) + " / kill-after=" +
-                       c.stages[kill]);
+          const std::string executor = distributed ? "distributed" : "local";
+          SCOPED_TRACE(c.name + " / " + executor + " / " + plan_name +
+                       " / threads=" + std::to_string(threads) +
+                       " / kill-after=" + c.stages[kill]);
           const std::string dir = fresh_dir(c.name);
           {
             ScopedEnv crash("MRMC_CRASH_AFTER_STAGE", c.stages[kill]);
             EXPECT_THROW(
                 run_pipeline(reads, c.params,
-                             exec_options(threads, plan, dir)),
+                             exec_options(threads, plan, dir, distributed)),
                 mr::recovery::InjectedDriverCrash);
           }
           const PipelineResult resumed = run_pipeline(
-              reads, c.params, exec_options(threads, plan, dir));
+              reads, c.params, exec_options(threads, plan, dir, distributed));
 
           EXPECT_EQ(resumed.labels, baseline.labels);
           EXPECT_EQ(resumed.num_clusters, baseline.num_clusters);
@@ -148,6 +160,30 @@ TEST(DriverChaos, KillAfterEveryStageResumesByteIdentical) {
       }
     }
   }
+}
+
+TEST(DriverChaos, LocalCrashResumesDistributedByteIdentical) {
+  const auto reads = sample_reads();
+  const PipelineCase c = pipeline_cases()[2];  // lsh-greedy
+  const PipelineResult baseline =
+      run_pipeline(reads, c.params, exec_options(2, {}, ""));
+
+  const std::string dir = fresh_dir("cross");
+  {
+    ScopedEnv crash("MRMC_CRASH_AFTER_STAGE", "verify");
+    EXPECT_THROW(
+        run_pipeline(reads, c.params, exec_options(2, {}, dir, false)),
+        mr::recovery::InjectedDriverCrash);
+  }
+  const PipelineResult resumed =
+      run_pipeline(reads, c.params, exec_options(2, {}, dir, true));
+  EXPECT_EQ(resumed.labels, baseline.labels);
+  EXPECT_EQ(resumed.recovery.stages, c.stages.size());
+  // sketch, candidates and verify are served from the local run's files.
+  EXPECT_EQ(resumed.recovery.checkpoint_hits, 3u);
+  EXPECT_EQ(resumed.recovery.checkpoint_misses, 1u);
+  EXPECT_EQ(resumed.recovery.checkpoint_writes, 1u);
+  EXPECT_EQ(resumed.recovery.invalid_checkpoints, 0u);
 }
 
 TEST(DriverChaos, ParkedDriverResumesAfterTheClusterIsRepaired) {
@@ -194,57 +230,66 @@ TEST(DriverChaos, RetriedStageLeavesLabelsByteIdentical) {
   const PipelineResult baseline =
       run_pipeline(reads, c.params, exec_options(2, {}, ""));
 
-  ExecutionOptions exec = exec_options(2, {}, "");
-  exec.max_job_attempts = 3;
-  exec.backoff_base_s = 1e-3;
-  exec.backoff_cap_s = 2e-3;
-  ScopedEnv fail("MRMC_FAIL_STAGE", "similarity:2");
-  const PipelineResult retried = run_pipeline(reads, c.params, exec);
-  EXPECT_EQ(retried.labels, baseline.labels);
-  EXPECT_EQ(retried.recovery.retries, 2u);
+  for (const bool distributed : {true, false}) {
+    SCOPED_TRACE(distributed ? "distributed" : "local");
+    ExecutionOptions exec = exec_options(2, {}, "", distributed);
+    exec.max_job_attempts = 3;
+    exec.backoff_base_s = 1e-3;
+    exec.backoff_cap_s = 2e-3;
+    ScopedEnv fail("MRMC_FAIL_STAGE", "similarity:2");
+    const PipelineResult retried = run_pipeline(reads, c.params, exec);
+    EXPECT_EQ(retried.labels, baseline.labels);
+    EXPECT_EQ(retried.recovery.retries, 2u);
+  }
 }
 
 TEST(DriverChaos, ExhaustedRetriesCarryTheAttemptHistory) {
   const auto reads = sample_reads();
   const PipelineCase c = pipeline_cases()[0];
-  ExecutionOptions exec = exec_options(2, {}, "");
-  exec.max_job_attempts = 2;
-  exec.backoff_base_s = 1e-3;
-  exec.backoff_cap_s = 2e-3;
-  ScopedEnv fail("MRMC_FAIL_STAGE", "sketch:5");
-  try {
-    (void)run_pipeline(reads, c.params, exec);
-    FAIL() << "expected RetryExhausted";
-  } catch (const mr::recovery::RetryExhausted& error) {
-    EXPECT_EQ(error.stage(), "sketch");
-    ASSERT_EQ(error.history().size(), 2u);
-    EXPECT_EQ(error.history()[0].outcome, "failed");
+  for (const bool distributed : {true, false}) {
+    SCOPED_TRACE(distributed ? "distributed" : "local");
+    ExecutionOptions exec = exec_options(2, {}, "", distributed);
+    exec.max_job_attempts = 2;
+    exec.backoff_base_s = 1e-3;
+    exec.backoff_cap_s = 2e-3;
+    ScopedEnv fail("MRMC_FAIL_STAGE", "sketch:5");
+    try {
+      (void)run_pipeline(reads, c.params, exec);
+      FAIL() << "expected RetryExhausted";
+    } catch (const mr::recovery::RetryExhausted& error) {
+      EXPECT_EQ(error.stage(), "sketch");
+      ASSERT_EQ(error.history().size(), 2u);
+      EXPECT_EQ(error.history()[0].outcome, "failed");
+    }
   }
 }
 
 TEST(DriverChaos, LshCandidatesExhaustionDegradesToExactAllPairs) {
   const auto reads = sample_reads();
   const PipelineCase c = pipeline_cases()[2];  // lsh-greedy
-  ExecutionOptions exec = exec_options(2, {}, "");
-  exec.max_job_attempts = 2;
-  exec.backoff_base_s = 1e-3;
-  exec.backoff_cap_s = 2e-3;
+  for (const bool distributed : {true, false}) {
+    SCOPED_TRACE(distributed ? "distributed" : "local");
+    ExecutionOptions exec = exec_options(2, {}, "", distributed);
+    exec.max_job_attempts = 2;
+    exec.backoff_base_s = 1e-3;
+    exec.backoff_cap_s = 2e-3;
 
-  ScopedEnv fail("MRMC_FAIL_STAGE", "candidates:2");
-  const PipelineResult degraded = run_pipeline(reads, c.params, exec);
-  EXPECT_EQ(degraded.recovery.lsh_fallbacks, 1u);
-  EXPECT_EQ(degraded.labels.size(), reads.size());
-  EXPECT_GT(degraded.num_clusters, 0u);
+    ScopedEnv fail("MRMC_FAIL_STAGE", "candidates:2");
+    const PipelineResult degraded = run_pipeline(reads, c.params, exec);
+    EXPECT_EQ(degraded.recovery.lsh_fallbacks, 1u);
+    EXPECT_EQ(degraded.labels.size(), reads.size());
+    EXPECT_GT(degraded.num_clusters, 0u);
 
-  // The degraded path is itself deterministic.
-  const PipelineResult again = run_pipeline(reads, c.params, exec);
-  EXPECT_EQ(again.labels, degraded.labels);
+    // The degraded path is itself deterministic.
+    const PipelineResult again = run_pipeline(reads, c.params, exec);
+    EXPECT_EQ(again.labels, degraded.labels);
 
-  // The size guard: with the fallback disabled the exhaustion propagates.
-  ExecutionOptions no_fallback = exec;
-  no_fallback.lsh_fallback_max_reads = 0;
-  EXPECT_THROW((void)run_pipeline(reads, c.params, no_fallback),
-               mr::recovery::RetryExhausted);
+    // The size guard: with the fallback disabled the exhaustion propagates.
+    ExecutionOptions no_fallback = exec;
+    no_fallback.lsh_fallback_max_reads = 0;
+    EXPECT_THROW((void)run_pipeline(reads, c.params, no_fallback),
+                 mr::recovery::RetryExhausted);
+  }
 }
 
 }  // namespace
