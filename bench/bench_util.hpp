@@ -23,6 +23,7 @@
 #include "core/pipeline.hpp"
 #include "eval/metrics.hpp"
 #include "obs/metrics.hpp"
+#include "obs/pipeline.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "simdata/datasets.hpp"
@@ -76,7 +77,9 @@ class Flags {
 /// simulated job runs:
 ///   --trace=<path>    Chrome trace of every simulated job (as MRMC_TRACE)
 ///   --report=<path>   job-doctor report; .html/.json/text by extension
-///                     (as MRMC_REPORT); bare --report prints text at exit
+///                     (as MRMC_REPORT); bare --report prints text at exit.
+///                     Either keeps the tracer's events in memory, where
+///                     the report is built from.
 /// Environment variables already set keep working; flags override them.
 inline void apply_obs_flags(const Flags& flags) {
   auto& tracer = obs::Tracer::global();
@@ -85,12 +88,11 @@ inline void apply_obs_flags(const Flags& flags) {
     tracer.set_output_path(trace_path);
     tracer.set_enabled(true);
   }
-  auto& collector = obs::report::Collector::global();
   const std::string report_path = flags.str("report", "");
-  if (flags.flag("report") || collector.enabled()) {
-    collector.set_enabled(true);
+  if (flags.flag("report")) {
+    tracer.set_enabled(true);
     if (!report_path.empty() && report_path != "1") {
-      collector.set_output_path(report_path);
+      obs::pipeline::ReportSink::global().set_report_path(report_path);
     }
   }
 }
@@ -109,13 +111,16 @@ inline void finish_obs(const Flags& flags, std::ostream& out = std::cout) {
         << obs::Registry::global().snapshot().to_text();
   }
   obs::Registry::write_global_if_configured();
-  auto& collector = obs::report::Collector::global();
-  if (collector.flush()) {
-    out << "\nwrote job report to " << collector.output_path() << "\n";
-  } else if (flags.str("report", "") == "1" && collector.size() > 0) {
-    const auto reports = collector.reports();
-    out << "\nJob doctor\n"
-        << obs::report::to_text(std::span<const obs::report::JobReport>(reports));
+  auto& sink = obs::pipeline::ReportSink::global();
+  if (sink.flush() && !sink.report_path().empty()) {
+    out << "\nwrote job report to " << sink.report_path() << "\n";
+  } else if (flags.str("report", "") == "1") {
+    const auto reports = obs::report::analyze_trace(tracer.parsed_trace());
+    if (!reports.empty()) {
+      out << "\nJob doctor\n"
+          << obs::report::to_text(
+                 std::span<const obs::report::JobReport>(reports));
+    }
   }
 }
 

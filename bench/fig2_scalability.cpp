@@ -53,6 +53,11 @@ struct SimPoint {
   std::size_t blacklisted_nodes = 0;
 };
 
+/// The suffix every job name of one (reads, nodes) point carries.
+std::string point_tag(std::size_t reads, std::size_t nodes) {
+  return "[" + std::to_string(reads) + "r/" + std::to_string(nodes) + "n]";
+}
+
 /// Simulated end-to-end hierarchical-pipeline time for `reads` reads on
 /// `nodes` nodes, built from the same cost models the executed pipeline
 /// uses (sketch map work, similarity row work, dendrogram reduce work).
@@ -64,8 +69,7 @@ SimPoint simulate_hierarchical(std::size_t reads, std::size_t read_length,
   mr::ClusterConfig cluster;
   cluster.nodes = nodes;
   const mr::SimScheduler scheduler(cluster);
-  const std::string tag =
-      "[" + std::to_string(reads) + "r/" + std::to_string(nodes) + "n]";
+  const std::string tag = point_tag(reads, nodes);
   const auto run_job = [&](std::span<const mr::TaskSpec> maps, double bytes,
                            std::span<const mr::TaskSpec> reduces,
                            const std::string& name) {
@@ -152,11 +156,17 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = flags.num("seed", 42);
 
   bench::apply_obs_flags(flags);
-  // --bench-json needs per-point reports, so it implies the collector even
-  // when no --report file was asked for.
+  // --bench-json needs per-point reports, built from the trace, so it keeps
+  // the tracer's events in memory even when no --trace file was asked for.
   const bool bench_json = flags.flag("bench-json");
-  auto& collector = obs::report::Collector::global();
-  if (bench_json) collector.set_enabled(true);
+  auto& tracer = obs::Tracer::global();
+  if (bench_json) tracer.set_enabled(true);
+  struct Point {
+    std::size_t reads;
+    std::size_t nodes;
+    double sim_total_s;
+  };
+  std::vector<Point> points;
   bench::BenchRecord record("fig2", {"reads", "nodes"});
 
   const std::vector<std::size_t> node_counts{2, 4, 6, 8, 10, 12};
@@ -170,38 +180,41 @@ int main(int argc, char** argv) {
   for (const std::size_t reads : read_counts) {
     std::vector<std::string> row{std::to_string(reads)};
     for (const std::size_t nodes : node_counts) {
-      const std::size_t jobs_before = collector.size();
       const double seconds =
           simulate_hierarchical(reads, read_length, hashes, nodes).total_s;
       row.push_back(common::format_duration(seconds));
-      if (bench_json) {
-        // Aggregate the point's jobs (sketch, similarity, cluster) into one
-        // record row: busy/capacity efficiency plus every finding id.
-        const auto reports = collector.reports();
-        double busy = 0.0, capacity = 0.0;
-        std::string findings;
-        for (std::size_t i = jobs_before; i < reports.size(); ++i) {
-          const auto& report = reports[i];
-          busy += report.map_phase.busy_s + report.reduce_phase.busy_s;
-          capacity +=
-              report.map_phase.makespan_s *
-                  static_cast<double>(report.map_phase.slots) +
-              report.reduce_phase.makespan_s *
-                  static_cast<double>(report.reduce_phase.slots);
-          for (const auto& finding : report.findings) {
-            if (!findings.empty()) findings += ",";
-            findings += finding.id;
-          }
-        }
-        record.row()
-            .num("reads", static_cast<long>(reads))
-            .num("nodes", static_cast<long>(nodes))
-            .num("sim_total_s", seconds)
-            .num("parallel_efficiency", capacity > 0.0 ? busy / capacity : 0.0)
-            .str("findings", findings);
-      }
+      points.push_back({reads, nodes, seconds});
     }
     table.add_row(std::move(row));
+  }
+  if (bench_json) {
+    // One trace decode for the whole table; each row aggregates its point's
+    // jobs (sketch, similarity, cluster): busy/capacity efficiency plus
+    // every finding id.
+    const auto reports = obs::report::analyze_trace(tracer.parsed_trace());
+    for (const Point& point : points) {
+      const std::string tag = point_tag(point.reads, point.nodes);
+      double busy = 0.0, capacity = 0.0;
+      std::string findings;
+      for (const auto& report : reports) {
+        if (!report.name.ends_with(tag)) continue;
+        busy += report.map_phase.busy_s + report.reduce_phase.busy_s;
+        capacity += report.map_phase.makespan_s *
+                        static_cast<double>(report.map_phase.slots) +
+                    report.reduce_phase.makespan_s *
+                        static_cast<double>(report.reduce_phase.slots);
+        for (const auto& finding : report.findings) {
+          if (!findings.empty()) findings += ",";
+          findings += finding.id;
+        }
+      }
+      record.row()
+          .num("reads", static_cast<long>(point.reads))
+          .num("nodes", static_cast<long>(point.nodes))
+          .num("sim_total_s", point.sim_total_s)
+          .num("parallel_efficiency", capacity > 0.0 ? busy / capacity : 0.0)
+          .str("findings", findings);
+    }
   }
   std::cout << "Figure 2 — simulated MrMC-MinH^h runtime vs nodes and reads\n"
             << "(S1-style reads of " << read_length << " bp, " << hashes

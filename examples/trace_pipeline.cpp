@@ -9,10 +9,14 @@
 //     data-local tasks) and per-phase simulated-duration histograms
 //     (now with p50/p95/p99 estimates), and
 //   * a job-doctor report — critical-path decomposition, utilization, and
-//     findings for every simulated job, printed below and written as HTML, and
+//     findings for every simulated job, printed below and written as HTML
+//     (or JSON / text, by the path's extension), and
 //   * a pipeline-doctor report — the jobs of each run_pipeline call stitched
 //     into one end-to-end view (per-stage critical path, aggregate shuffle
-//     bytes, stage-level findings), printed below and written as HTML.
+//     bytes, stage-level findings), printed below and written the same way.
+//
+// Both reports are built from the trace's events, so they equal what
+// `mrmc_doctor <trace.json>` and `mrmc_doctor pipeline <trace.json>` print.
 //
 //   ./trace_pipeline [reads] [trace.json] [metrics.txt] [report.html]
 //       [pipeline.html]
@@ -47,12 +51,9 @@ int main(int argc, char** argv) {
   auto& tracer = obs::Tracer::global();
   tracer.set_output_path(trace_path);
   tracer.set_enabled(true);
-  auto& collector = obs::report::Collector::global();
-  collector.set_output_path(report_path);
-  collector.set_enabled(true);
-  auto& pipelines = obs::pipeline::Collector::global();
-  pipelines.set_output_path(pipeline_path);
-  pipelines.set_enabled(true);
+  auto& sink = obs::pipeline::ReportSink::global();
+  sink.set_report_path(report_path);
+  sink.set_pipeline_path(pipeline_path);
   obs::LogConfig::global().set_default_level(obs::LogLevel::kInfo);
 
   // An S2-style two-species sample, clustered with both pipeline variants so
@@ -107,25 +108,24 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  // The job doctor: same analysis mrmc_doctor runs on the flushed trace.
-  const auto reports = collector.reports();
+  // The doctors read the tracer's events with the same decoders mrmc_doctor
+  // runs on the flushed trace file.
+  const common::JsonValue trace = tracer.parsed_trace();
+  const auto reports = obs::report::analyze_trace(trace);
   std::cout << "\nJob doctor (" << reports.size() << " simulated jobs)\n"
             << obs::report::to_text(
                    std::span<const obs::report::JobReport>(reports));
-  if (collector.flush()) {
-    std::cout << "wrote HTML report to " << report_path << "\n";
-  }
 
-  // The pipeline doctor: both run_pipeline calls stitched end to end — the
-  // same view `mrmc_doctor pipeline <trace>` reconstructs offline.
-  const auto pipeline_reports = pipelines.reports();
+  // The pipeline doctor: both run_pipeline calls stitched end to end.
+  const auto pipeline_reports = obs::pipeline::analyze_trace(trace);
   std::cout << "\nPipeline doctor (" << pipeline_reports.size()
             << " pipelines)\n"
             << obs::pipeline::to_text(
                    std::span<const obs::pipeline::PipelineReport>(
                        pipeline_reports));
-  if (pipelines.flush()) {
-    std::cout << "wrote HTML pipeline report to " << pipeline_path << "\n";
+  if (sink.flush()) {
+    std::cout << "wrote job report to " << report_path
+              << " and pipeline report to " << pipeline_path << "\n";
   }
   return 0;
 }

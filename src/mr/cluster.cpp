@@ -155,8 +155,8 @@ namespace {
 /// shifted by `ts_offset_s` so phases line up end to end within the job; the
 /// exact phase-relative times travel as args.  When `specs` is non-empty the
 /// task's resource demand (work / input / output bytes) rides along as extra
-/// %.17g args; offline reconstruction ignores unknown args, so the doctor's
-/// byte-identity invariant is unaffected.
+/// %.17g args; report reconstruction ignores unknown args, so reports do not
+/// change.
 void trace_sim_phase(obs::Tracer& tracer, std::uint32_t pid,
                      const char* phase_name, const PhaseTimeline& phase,
                      std::span<const TaskSpec> specs,
@@ -261,8 +261,9 @@ std::vector<FetchPlacement> schedule_fetches(const SimScheduler& scheduler,
   return placed;
 }
 
-/// Metrics + doctor input + trace + log for a finished timeline — shared by
-/// the fault-free and faulted simulate_job paths so both emit identically.
+/// Metrics + trace + log for a finished timeline — shared by the fault-free
+/// and faulted simulate_job paths so both emit identically.  The trace
+/// events are the doctors' only intake (obs::report::jobs_from_trace).
 void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
               std::span<const TaskSpec> map_specs,
               std::span<const TaskSpec> reduce_specs,
@@ -302,19 +303,6 @@ void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
   // whatever sinks are enabled, and run_splits reads the claim back via
   // obs::pipeline::last_claim() to stamp its wall span.
   const std::optional<obs::pipeline::Claim> claim = obs::pipeline::claim();
-
-  auto& collector = obs::report::Collector::global();
-  if (collector.enabled()) {
-    obs::report::JobInput input =
-        report_input(timeline, scheduler.config(), job_name, shuffle_bytes);
-    if (claim) {
-      input.pipeline = claim->pipeline;
-      input.stage = claim->stage;
-      input.round = claim->round;
-      input.sequence = claim->sequence;
-    }
-    collector.add(std::move(input));
-  }
 
   auto& tracer = obs::Tracer::global();
   if (tracer.enabled()) {
@@ -359,8 +347,8 @@ void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
       }
       obs::pipeline::set_flow_link(pid, timeline.total_s * 1e6);
     }
-    // Cluster shape + startup for offline reconstruction (mrmc_doctor); the
-    // doubles travel as %.17g so the offline report is bit-identical.
+    // Cluster shape + startup for report reconstruction; the doubles travel
+    // as %.17g so the report sees the scheduler's exact numbers.
     obs::TraceEvent config_event;
     config_event.name = "job_config";
     config_event.category = "sim";
@@ -375,8 +363,7 @@ void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
     tracer.append(std::move(config_event));
     if (!timeline.bytes.empty()) {
       // Byte totals as %.17g instants so jobs_from_trace restores the exact
-      // doubles — the "bytes" report section stays byte-identical across
-      // the in-process and offline ingestion paths.
+      // doubles of the "bytes" report section.
       obs::TraceEvent bytes_event;
       bytes_event.name = "job_bytes";
       bytes_event.category = "sim";
@@ -397,9 +384,8 @@ void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
            std::to_string(timeline.bytes.max_fetch_fan_in)}};
       tracer.append(std::move(bytes_event));
     }
-    // Fault instants precede the task events so offline reconstruction
-    // (jobs_from_trace) rebuilds the doctor's fault lists in the exact
-    // order analyze() sees them in-process.
+    // Fault instants precede the task events so jobs_from_trace rebuilds
+    // the doctor's fault lists in the timeline's order.
     for (const faults::NodeDownEvent& event : timeline.faults.events) {
       obs::TraceEvent fault_event;
       fault_event.name = "node_fault";

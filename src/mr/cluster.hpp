@@ -188,9 +188,9 @@ inline JobTimeline simulate_job(const SimScheduler& scheduler,
                       "job");
 }
 
-/// Convert a finished timeline into the job doctor's input (the in-process
-/// twin of obs::report::jobs_from_trace): tasks keep their phase-index order
-/// so both ingestion paths feed analyze() identically.
+/// Convert a finished timeline into the job doctor's input directly: tasks
+/// keep their phase-index order.  Tests use it as the oracle that
+/// obs::report::jobs_from_trace must reproduce from the trace exactly.
 [[nodiscard]] obs::report::JobInput report_input(const JobTimeline& timeline,
                                                  const ClusterConfig& config,
                                                  std::string job_name,

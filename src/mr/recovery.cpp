@@ -354,23 +354,15 @@ void StageDriver::finish_stage(const std::string& stage, std::size_t sequence,
     }
   }
 
-  const std::string pipeline = obs::pipeline::current_id();
   auto& tracer = obs::Tracer::global();
   if (tracer.enabled()) {
     tracer.instant("stage_checkpoint",
-                   {{"pipeline", pipeline},
+                   {{"pipeline", obs::pipeline::current_id()},
                     {"stage", stage},
                     {"sequence", std::to_string(sequence)},
                     {"outcome", outcome},
                     {"key", key_hex(key)},
                     {"attempts", std::to_string(attempts)}});
-  }
-  if (!pipeline.empty()) {
-    auto& collector = obs::pipeline::Collector::global();
-    if (collector.enabled()) {
-      collector.add_recovery(
-          {pipeline, stage, sequence, outcome, attempts, key_hex(key)});
-    }
   }
 }
 

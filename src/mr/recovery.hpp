@@ -37,9 +37,8 @@
 //     it parked.
 //
 // Everything is observable: checkpoint hits/misses/writes land on the trace
-// as "stage_checkpoint" instants, feed the pipeline Collector, and bump
-// recovery.* metrics; the pipeline doctor renders them in a "recovery"
-// section byte-identical whether built in-process or from the trace.
+// as "stage_checkpoint" instants and bump recovery.* metrics; the pipeline
+// doctor renders those instants in a "recovery" section.
 //
 // Deterministic test hooks: MRMC_CRASH_AFTER_STAGE=<stage> throws
 // InjectedDriverCrash after <stage>'s checkpoint commits (the chaos tests'

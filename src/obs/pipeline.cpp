@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <stdexcept>
+#include <exception>
 #include <utility>
 
 #include "common/fsio.hpp"
 #include "common/timer.hpp"
+#include "obs/format.hpp"
+#include "obs/log.hpp"
+#include "obs/trace.hpp"
 
 namespace mrmc::obs::pipeline {
 
@@ -109,77 +107,8 @@ std::uint64_t flow_event_id(const Claim& claim) noexcept {
 
 namespace {
 
-/// %.17g — round-trips through strtod exactly (same contract as the trace).
-std::string f17(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
-std::string f2(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.2f", value);
-  return buf;
-}
-
-std::string pct(double fraction) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.1f%%", fraction * 100.0);
-  return buf;
-}
-
-void append_json_string(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-std::string html_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
-constexpr const char* kReset = "\x1b[0m";
-
-const char* severity_color(report::Severity severity) {
-  switch (severity) {
-    case report::Severity::kInfo: return "\x1b[36m";      // cyan
-    case report::Severity::kWarning: return "\x1b[33m";   // yellow
-    case report::Severity::kCritical: return "\x1b[31m";  // red
-  }
-  return "";
-}
-
-/// Group collected stage records into pipelines: first-appearance order of
-/// pipeline ids, stages sorted by claim sequence.  Shared by the in-process
-/// Collector and the trace-reconstruction path so both produce identical
-/// PipelineInput orderings.
+/// Group stage records into pipelines: first-appearance order of pipeline
+/// ids, stages sorted by claim sequence.
 std::vector<PipelineInput> group_stages(std::vector<StageRecord> records) {
   std::vector<PipelineInput> out;
   for (StageRecord& record : records) {
@@ -203,11 +132,10 @@ std::vector<PipelineInput> group_stages(std::vector<StageRecord> records) {
   return out;
 }
 
-/// Join recovery-driver checkpoint records onto their pipelines, shared by
-/// the in-process Collector and the trace-reconstruction path (the
-/// byte-identity contract).  A fully-resumed pipeline runs no jobs, so its
-/// id may carry recovery records only — such pipelines are appended after
-/// the stage-carrying ones, in record order.
+/// Join recovery-driver checkpoint records onto their pipelines.  A
+/// fully-resumed pipeline runs no jobs, so its id may carry recovery records
+/// only — such pipelines are appended after the stage-carrying ones, in
+/// record order.
 void attach_recovery(std::vector<PipelineInput>& pipelines,
                      std::vector<RecoveryRecord> records) {
   for (RecoveryRecord& record : records) {
@@ -233,10 +161,9 @@ PipelineReport analyze(const PipelineInput& input,
   out.stages.reserve(input.stages.size());
 
   // Per-stage job reports plus the aggregate critical path, every sum
-  // accumulated left to right in stage-sequence order (the byte-identity
-  // contract between the in-process and trace-reconstructed paths).  Sort
-  // here rather than trusting the caller: hand-built inputs may arrive in
-  // arrival order.
+  // accumulated left to right in stage-sequence order so the totals are
+  // reproducible bit for bit.  Sort here rather than trusting the caller:
+  // hand-built inputs may arrive in arrival order.
   std::vector<const StageRecord*> ordered;
   ordered.reserve(input.stages.size());
   for (const StageRecord& record : input.stages) ordered.push_back(&record);
@@ -286,8 +213,8 @@ PipelineReport analyze(const PipelineInput& input,
 
   // ------------------------------------------------------------- recovery
   // Checkpoint decisions of the recovery stage driver, sorted by driver
-  // sequence (the collector and the trace both deliver them in that order
-  // already; sorting here keeps hand-built inputs honest too).
+  // sequence (the trace delivers them in that order already; sorting here
+  // keeps hand-built inputs honest too).
   out.recovery.rows = input.recovery;
   std::stable_sort(out.recovery.rows.begin(), out.recovery.rows.end(),
                    [](const RecoveryRecord& a, const RecoveryRecord& b) {
@@ -368,7 +295,7 @@ PipelineReport analyze(const PipelineInput& input,
   return out;
 }
 
-// ---------------------------------------------------------- offline intake
+// ------------------------------------------------------------ trace intake
 
 std::vector<PipelineInput> pipelines_from_trace(const common::JsonValue& root) {
   // The job doctor already reconstructs every sim job (lineage included);
@@ -382,67 +309,57 @@ std::vector<PipelineInput> pipelines_from_trace(const common::JsonValue& root) {
   }
   std::vector<PipelineInput> pipelines = group_stages(std::move(records));
 
-  const common::JsonValue& events = root.at("traceEvents");
-  for (const common::JsonValue& event : events.array) {
-    if (event.at("ph").string != "i" ||
-        event.at("name").string != "job_wall") {
-      continue;
-    }
-    const common::JsonValue& args = event.at("args");
-    const std::string& pipeline_id = args.at("pipeline").string;
-    const auto sequence = static_cast<std::size_t>(
-        std::strtod(args.at("sequence").string.c_str(), nullptr));
-    for (PipelineInput& input : pipelines) {
-      if (input.id != pipeline_id) continue;
-      for (StageRecord& stage : input.stages) {
-        if (stage.job.sequence != sequence) continue;
-        // %.17g strings restore the tracer's microsecond doubles exactly.
-        stage.wall_start_us =
-            std::strtod(args.at("start_us").string.c_str(), nullptr);
-        stage.wall_end_us =
-            std::strtod(args.at("end_us").string.c_str(), nullptr);
-      }
-    }
-  }
-
   // Recovery-driver checkpoint decisions, emitted one "stage_checkpoint"
   // instant per driver stage, in driver order.  A fully-resumed pipeline
   // (every stage a hit) has no jobs in the trace — it enters `pipelines`
   // here, recovery-only.
   std::vector<RecoveryRecord> checkpoints;
-  for (const common::JsonValue& event : events.array) {
-    if (event.at("ph").string != "i" ||
-        event.at("name").string != "stage_checkpoint") {
-      continue;
+  const common::JsonValue& events = root.at("traceEvents");
+  for (std::size_t i = 0; i < events.array.size(); ++i) {
+    const report::TraceEventFields fields(events.array[i], i);
+    if (fields.text("ph") != "i") continue;
+    const std::string& name = fields.text("name");
+    if (name == "job_wall") {
+      const std::string& pipeline_id = fields.arg("pipeline");
+      const std::size_t sequence = fields.count_arg("sequence");
+      // %.17g strings restore the tracer's microsecond doubles exactly.
+      const double start_us = fields.real_arg("start_us");
+      const double end_us = fields.real_arg("end_us");
+      for (PipelineInput& input : pipelines) {
+        if (input.id != pipeline_id) continue;
+        for (StageRecord& stage : input.stages) {
+          if (stage.job.sequence != sequence) continue;
+          stage.wall_start_us = start_us;
+          stage.wall_end_us = end_us;
+        }
+      }
+    } else if (name == "stage_checkpoint") {
+      RecoveryRecord record;
+      record.pipeline = fields.arg("pipeline");
+      record.stage = fields.arg("stage");
+      record.sequence = fields.count_arg("sequence");
+      record.outcome = fields.arg("outcome");
+      record.attempts = fields.int_arg("attempts");
+      record.key = fields.arg("key");
+      checkpoints.push_back(std::move(record));
     }
-    const common::JsonValue& args = event.at("args");
-    RecoveryRecord record;
-    record.pipeline = args.at("pipeline").string;
-    record.stage = args.at("stage").string;
-    record.sequence = static_cast<std::size_t>(
-        std::strtod(args.at("sequence").string.c_str(), nullptr));
-    record.outcome = args.at("outcome").string;
-    record.attempts = static_cast<int>(
-        std::strtod(args.at("attempts").string.c_str(), nullptr));
-    record.key = args.at("key").string;
-    checkpoints.push_back(std::move(record));
   }
   attach_recovery(pipelines, std::move(checkpoints));
   return pipelines;
 }
 
-std::vector<PipelineReport> analyze_trace_file(
-    const std::string& path, const PipelineAnalyzeOptions& options) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const common::JsonValue root = common::parse_json(buffer.str());
+std::vector<PipelineReport> analyze_trace(
+    const common::JsonValue& root, const PipelineAnalyzeOptions& options) {
   std::vector<PipelineReport> reports;
   for (const PipelineInput& input : pipelines_from_trace(root)) {
     reports.push_back(analyze(input, options));
   }
   return reports;
+}
+
+std::vector<PipelineReport> analyze_trace_file(
+    const std::string& path, const PipelineAnalyzeOptions& options) {
+  return analyze_trace(report::load_trace_file(path), options);
 }
 
 // -------------------------------------------------------------- renderers
@@ -516,12 +433,7 @@ std::string to_text(const PipelineReport& report, bool color) {
   } else {
     out += "  findings:\n";
     for (const report::Finding& finding : report.findings) {
-      out += "    [";
-      if (color) out += severity_color(finding.severity);
-      out += report::severity_name(finding.severity);
-      if (color) out += kReset;
-      out += "] " + finding.id + ": " + finding.message + "\n";
-      out += "        -> " + finding.recommendation + "\n";
+      report::append_finding_text(out, finding, color);
     }
   }
   return out;
@@ -539,15 +451,16 @@ std::string to_text(std::span<const PipelineReport> reports, bool color) {
 std::string to_json(const PipelineReport& report) {
   std::string out = "{\"id\": ";
   append_json_string(out, report.id);
-  out += ", \"sim_total_s\": " + f17(report.sim_total_s) +
-         ", \"critical_path\": {\"startup_s\": " + f17(report.startup_s) +
-         ", \"map_s\": " + f17(report.map_s) +
-         ", \"shuffle_s\": " + f17(report.shuffle_s) +
-         ", \"reduce_s\": " + f17(report.reduce_s) + "}" +
-         ", \"shuffle_bytes\": " + f17(report.shuffle_bytes);
+  out += ", \"sim_total_s\": " + trace_double(report.sim_total_s) +
+         ", \"critical_path\": {\"startup_s\": " +
+             trace_double(report.startup_s) +
+         ", \"map_s\": " + trace_double(report.map_s) +
+         ", \"shuffle_s\": " + trace_double(report.shuffle_s) +
+         ", \"reduce_s\": " + trace_double(report.reduce_s) + "}" +
+         ", \"shuffle_bytes\": " + trace_double(report.shuffle_bytes);
   if (report.has_wall) {
-    out += ", \"wall\": {\"total_s\": " + f17(report.wall_total_s) +
-           ", \"driver_gap_s\": " + f17(report.driver_gap_s) + "}";
+    out += ", \"wall\": {\"total_s\": " + trace_double(report.wall_total_s) +
+           ", \"driver_gap_s\": " + trace_double(report.driver_gap_s) + "}";
   }
   out += ", \"stages\": [";
   for (std::size_t i = 0; i < report.stages.size(); ++i) {
@@ -557,10 +470,10 @@ std::string to_json(const PipelineReport& report) {
     append_json_string(out, stage.job.stage);
     out += ", \"round\": " + std::to_string(stage.job.round) +
            ", \"sequence\": " + std::to_string(stage.job.sequence) +
-           ", \"sim_share\": " + f17(stage.sim_share);
+           ", \"sim_share\": " + trace_double(stage.sim_share);
     if (stage.has_wall) {
-      out += ", \"wall_s\": " + f17(stage.wall_s) +
-             ", \"gap_before_s\": " + f17(stage.gap_before_s);
+      out += ", \"wall_s\": " + trace_double(stage.wall_s) +
+             ", \"gap_before_s\": " + trace_double(stage.gap_before_s);
     }
     // The full per-stage job report nests verbatim, so every single-job
     // byte-identity guarantee carries into the pipeline view.
@@ -590,21 +503,9 @@ std::string to_json(const PipelineReport& report) {
     }
     out += "]}";
   }
-  out += ", \"findings\": [";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const report::Finding& finding = report.findings[i];
-    if (i > 0) out += ", ";
-    out += "{\"id\": ";
-    append_json_string(out, finding.id);
-    out += ", \"severity\": ";
-    append_json_string(out, report::severity_name(finding.severity));
-    out += ", \"message\": ";
-    append_json_string(out, finding.message);
-    out += ", \"recommendation\": ";
-    append_json_string(out, finding.recommendation);
-    out += "}";
-  }
-  out += "]}";
+  out += ", \"findings\": ";
+  report::append_findings_json(out, report.findings);
+  out += "}";
   return out;
 }
 
@@ -724,12 +625,12 @@ std::string to_bench_json(std::span<const PipelineReport> reports) {
     append_json_string(out, pipeline);
     out += ", \"stage\": ";
     append_json_string(out, stage);
-    out += ", \"sim_total_s\": " + f17(sim_total) +
-           ", \"sim_map_s\": " + f17(sim_map) +
-           ", \"sim_shuffle_s\": " + f17(sim_shuffle) +
-           ", \"sim_reduce_s\": " + f17(sim_reduce) +
-           ", \"shuffle_bytes\": " + f17(shuffle_bytes);
-    if (has_wall) out += ", \"wall_s\": " + f17(wall_s);
+    out += ", \"sim_total_s\": " + trace_double(sim_total) +
+           ", \"sim_map_s\": " + trace_double(sim_map) +
+           ", \"sim_shuffle_s\": " + trace_double(sim_shuffle) +
+           ", \"sim_reduce_s\": " + trace_double(sim_reduce) +
+           ", \"shuffle_bytes\": " + trace_double(shuffle_bytes);
+    if (has_wall) out += ", \"wall_s\": " + trace_double(wall_s);
     out += "}";
   };
   for (const PipelineReport& report : reports) {
@@ -750,116 +651,101 @@ std::string to_bench_json(std::span<const PipelineReport> reports) {
   return out;
 }
 
-// -------------------------------------------------------------- collector
-
-Collector::Collector() {
-  if (const char* path = std::getenv("MRMC_PIPELINE");
-      path != nullptr && *path != '\0') {
-    enabled_ = true;
-    output_path_ = path;
-  }
+std::string render(std::span<const PipelineReport> reports,
+                   std::string_view format, bool color) {
+  if (format == "html") return to_html(reports);
+  if (format == "json") return to_json(reports);
+  return to_text(reports, color);
 }
 
-Collector& Collector::global() {
-  static Collector instance;
+// ------------------------------------------------------------ report sink
+
+namespace {
+
+const Logger& logger() {
+  static const Logger instance("obs.pipeline");
   return instance;
 }
 
-bool Collector::enabled() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return enabled_;
-}
+/// Built during static initialization so MRMC_REPORT / MRMC_PIPELINE turn
+/// the tracer on before the first job runs, in any binary that runs jobs:
+/// every job claims its lineage in this file, so this file is always linked.
+[[maybe_unused]] const ReportSink& kGlobalSink = ReportSink::global();
 
-void Collector::set_enabled(bool enabled) noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  enabled_ = enabled;
-}
+}  // namespace
 
-void Collector::set_output_path(std::string path) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  output_path_ = std::move(path);
-  if (!output_path_.empty()) enabled_ = true;
-}
-
-std::string Collector::output_path() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return output_path_;
-}
-
-void Collector::add(StageRecord record) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  records_.push_back(std::move(record));
-}
-
-void Collector::add_recovery(RecoveryRecord record) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  recovery_.push_back(std::move(record));
-}
-
-std::size_t Collector::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return records_.size();
-}
-
-void Collector::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  records_.clear();
-  recovery_.clear();
-}
-
-std::vector<PipelineInput> Collector::pipelines() const {
-  std::vector<StageRecord> records;
-  std::vector<RecoveryRecord> recovery;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    records = records_;
-    recovery = recovery_;
+ReportSink::ReportSink() {
+  // The tracer is constructed first, so it is destroyed after this sink and
+  // is still there for the exit flush.
+  Tracer& tracer = Tracer::global();
+  if (const char* path = std::getenv("MRMC_REPORT")) report_path_ = path;
+  if (const char* path = std::getenv("MRMC_PIPELINE")) pipeline_path_ = path;
+  if (!report_path_.empty() || !pipeline_path_.empty()) {
+    tracer.set_enabled(true);
   }
-  std::vector<PipelineInput> out = group_stages(std::move(records));
-  attach_recovery(out, std::move(recovery));
-  return out;
 }
 
-std::vector<PipelineReport> Collector::reports(
-    const PipelineAnalyzeOptions& options) const {
-  std::vector<PipelineReport> out;
-  for (const PipelineInput& input : pipelines()) {
-    out.push_back(analyze(input, options));
-  }
-  return out;
+ReportSink::~ReportSink() { flush(); }
+
+ReportSink& ReportSink::global() {
+  static ReportSink sink;
+  return sink;
 }
 
-bool Collector::flush() const {
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // recovery_ alone still flushes: a fully-resumed pipeline runs no jobs,
-    // but its checkpoint decisions are exactly what the doctor must show.
-    if (!enabled_ || output_path_.empty() ||
-        (records_.empty() && recovery_.empty())) {
-      return false;
+void ReportSink::set_report_path(std::string path) {
+  if (!path.empty()) Tracer::global().set_enabled(true);
+  std::lock_guard<std::mutex> lock(mutex_);
+  report_path_ = std::move(path);
+}
+
+void ReportSink::set_pipeline_path(std::string path) {
+  if (!path.empty()) Tracer::global().set_enabled(true);
+  std::lock_guard<std::mutex> lock(mutex_);
+  pipeline_path_ = std::move(path);
+}
+
+std::string ReportSink::report_path() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return report_path_;
+}
+
+std::string ReportSink::pipeline_path() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return pipeline_path_;
+}
+
+bool ReportSink::flush() const {
+  const std::string job_path = report_path();
+  const std::string stitched_path = pipeline_path();
+  if (job_path.empty() && stitched_path.empty()) return false;
+  const auto write = [](const std::string& path, const std::string& body) {
+    if (common::write_file_atomic(path, body)) return true;
+    logger().warn("failed writing report output file", {{"path", path}});
+    return false;
+  };
+  bool wrote = false;
+  try {
+    const common::JsonValue trace = Tracer::global().parsed_trace();
+    if (!job_path.empty()) {
+      const std::vector<report::JobInput> jobs = report::jobs_from_trace(trace);
+      if (!jobs.empty()) {
+        wrote |= write(job_path,
+                       report::render(jobs, report::format_for(job_path)));
+      }
     }
-    path = output_path_;
+    if (!stitched_path.empty()) {
+      const std::vector<PipelineReport> reports = analyze_trace(trace);
+      if (!reports.empty()) {
+        wrote |= write(stitched_path,
+                       render(reports, report::format_for(stitched_path)));
+      }
+    }
+  } catch (const std::exception& error) {
+    logger().warn("cannot build doctor reports from the trace",
+                  {{"error", error.what()}});
+    return false;
   }
-  const std::vector<PipelineReport> rendered = reports();
-  if (rendered.empty()) return false;
-  const std::span<const PipelineReport> span(rendered);
-  std::string body;
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".html") == 0) {
-    body = to_html(span);
-  } else if (path.size() >= 5 &&
-             path.compare(path.size() - 5, 5, ".json") == 0) {
-    body = to_json(span);
-  } else {
-    body = to_text(span);
-  }
-  return common::write_file_atomic(path, body);
-}
-
-bool Collector::write_global_if_configured() {
-  const char* path = std::getenv("MRMC_PIPELINE");
-  if (path == nullptr || *path == '\0') return false;
-  return global().flush();
+  return wrote;
 }
 
 }  // namespace mrmc::obs::pipeline

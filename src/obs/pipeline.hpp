@@ -15,11 +15,11 @@
 //   * aggregate shuffle bytes per stage, and
 //   * stage-level findings ("similarity is 78% of the makespan", ...).
 //
-// The standing obs invariant holds one level up: a PipelineReport built from
-// the in-process Collector is byte-identical to one reconstructed from the
-// flushed trace by `mrmc_doctor pipeline`.  Lineage events are invisible to
-// the single-job reconstruction path, so enabling pipelines never perturbs
-// existing job reports.
+// The trace is the only intake: `mrmc_doctor pipeline` reads a flushed trace
+// file, and MRMC_PIPELINE (ReportSink, below) reads the live tracer's events
+// through the same pipelines_from_trace, so the two reports are the same
+// code.  Lineage events are invisible to the single-job reconstruction
+// path, so enabling pipelines never perturbs existing job reports.
 //
 // The API is shaped for round-indexed iterative drivers (StageScope takes an
 // optional round) so the upcoming hash-to-min connected-components work can
@@ -139,9 +139,9 @@ void set_flow_link(std::uint32_t pid, double end_ts_us) noexcept;
 
 // ------------------------------------------------------- pipeline doctor
 
-/// One stage of a pipeline as collected: the job-doctor input plus the real
-/// wall window the driver observed around the job (microseconds on the
-/// tracer's clock; both 0 when wall timing is unavailable).
+/// One stage of a pipeline: the job-doctor input plus the real wall window
+/// the driver observed around the job (microseconds on the tracer's clock;
+/// both 0 when wall timing is unavailable).
 struct StageRecord {
   report::JobInput job;
   double wall_start_us = 0.0;
@@ -153,9 +153,8 @@ struct StageRecord {
 };
 
 /// One checkpoint decision of the recovery stage driver (mr::recovery), as
-/// fed to the Collector in-process and emitted as a "stage_checkpoint"
-/// instant on the trace — the pipeline doctor's "recovery" section is built
-/// from these, byte-identical along either path.
+/// emitted in a "stage_checkpoint" trace instant — the pipeline doctor's
+/// "recovery" section is built from these.
 struct RecoveryRecord {
   std::string pipeline;      ///< PipelineScope id the driver ran under
   std::string stage;         ///< stage name ("sketch", "similarity", ...)
@@ -204,8 +203,7 @@ struct RecoverySummary {
 };
 
 /// The stitched end-to-end view.  All aggregate sums are accumulated left to
-/// right in stage-sequence order so in-process and trace-reconstructed
-/// reports are byte-identical.
+/// right in stage-sequence order, so a report is reproducible bit for bit.
 struct PipelineReport {
   std::string id;
   double sim_total_s = 0.0;   ///< sum of stage sim totals
@@ -229,11 +227,17 @@ struct PipelineReport {
 /// "job_lineage" instant, grouped by pipeline id in first-appearance order,
 /// stage-sorted by sequence, wall windows joined from "job_wall" instants.
 /// Jobs without lineage are ignored (they still appear in the job doctor).
+/// Throws std::runtime_error naming the event and key on a malformed trace.
 [[nodiscard]] std::vector<PipelineInput> pipelines_from_trace(
     const common::JsonValue& root);
 
-/// `mrmc_doctor pipeline` entry point: parse + regroup + analyze a flushed
-/// trace file.  Throws common::MrmcError on I/O or parse failure.
+/// Regroup + analyze every pipeline of a parsed trace.
+[[nodiscard]] std::vector<PipelineReport> analyze_trace(
+    const common::JsonValue& root,
+    const PipelineAnalyzeOptions& options = {});
+
+/// report::load_trace_file + analyze_trace.  Throws std::runtime_error on
+/// I/O, parse, or decode failure.
 [[nodiscard]] std::vector<PipelineReport> analyze_trace_file(
     const std::string& path, const PipelineAnalyzeOptions& options = {});
 
@@ -250,46 +254,44 @@ struct PipelineReport {
 /// tight-gated by `mrmc_doctor regress`) and wall seconds (noisy-gated).
 [[nodiscard]] std::string to_bench_json(std::span<const PipelineReport> reports);
 
-/// Process-wide pipeline-report sink, mirroring report::Collector: the job
-/// runner feeds it a StageRecord per claimed job; flush() renders every
-/// collected pipeline to the configured path (.html / .json / text).  First
-/// use reads MRMC_PIPELINE (a path — enables collection + sets the sink).
-class Collector {
+/// Render `reports` in `format` ("html", "json", else text; see
+/// report::format_for); `color` applies to text only.  The one renderer
+/// behind MRMC_PIPELINE and `mrmc_doctor pipeline`.
+[[nodiscard]] std::string render(std::span<const PipelineReport> reports,
+                                 std::string_view format, bool color = false);
+
+// ------------------------------------------------------------ report sink
+
+/// Process-wide sink for both doctor reports: the job report MRMC_REPORT
+/// names and the pipeline report MRMC_PIPELINE names (or the set_*_path
+/// calls).  A non-empty path turns Tracer::global() on — in memory; the
+/// tracer writes a file only when MRMC_TRACE names one — and flush() builds
+/// each report from the tracer's events with jobs_from_trace /
+/// pipelines_from_trace, the code `mrmc_doctor` runs on a trace file.
+/// Flushed at pipeline boundaries (core::run_pipeline, pig's
+/// run_algorithm3) and at process exit.
+class ReportSink {
  public:
-  static Collector& global();
+  static ReportSink& global();  ///< first use reads MRMC_REPORT / MRMC_PIPELINE
 
-  [[nodiscard]] bool enabled() const noexcept;
-  void set_enabled(bool enabled) noexcept;
-  void set_output_path(std::string path);
-  [[nodiscard]] std::string output_path() const;
+  void set_report_path(std::string path);
+  void set_pipeline_path(std::string path);
+  [[nodiscard]] std::string report_path() const;
+  [[nodiscard]] std::string pipeline_path() const;
 
-  void add(StageRecord record);
-  /// Record a recovery-driver checkpoint decision (see RecoveryRecord).
-  void add_recovery(RecoveryRecord record);
-  [[nodiscard]] std::size_t size() const;
-  void clear();
-
-  /// Collected stages regrouped into pipelines (same ordering contract as
-  /// pipelines_from_trace).
-  [[nodiscard]] std::vector<PipelineInput> pipelines() const;
-  [[nodiscard]] std::vector<PipelineReport> reports(
-      const PipelineAnalyzeOptions& options = {}) const;
-
-  /// Render every collected pipeline to the configured path.  False when
-  /// disabled, pathless, empty, or on I/O error.
+  /// Render each configured report (.html / .json by extension, else text)
+  /// from the tracer's events.  A report with nothing to show is not
+  /// written.  Returns true when at least one file was written.
   bool flush() const;
 
-  /// Flush the global collector iff MRMC_PIPELINE is set (checked per call).
-  static bool write_global_if_configured();
+  ~ReportSink();
 
  private:
-  Collector();
+  ReportSink();
 
   mutable std::mutex mutex_;
-  bool enabled_ = false;
-  std::string output_path_;
-  std::vector<StageRecord> records_;
-  std::vector<RecoveryRecord> recovery_;
+  std::string report_path_;
+  std::string pipeline_path_;
 };
 
 }  // namespace mrmc::obs::pipeline

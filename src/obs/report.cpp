@@ -2,81 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
 
-#include "common/fsio.hpp"
 #include "common/timer.hpp"
-#include "obs/log.hpp"
+#include "obs/format.hpp"
+#include "obs/trace.hpp"
 
 namespace mrmc::obs::report {
 
 namespace {
 
-const Logger& logger() {
-  static const Logger instance("obs.report");
-  return instance;
-}
-
-/// %.17g — round-trips through strtod exactly (same contract as the trace).
-std::string f17(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
-std::string f2(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.2f", value);
-  return buf;
-}
-
-std::string pct(double fraction) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.1f%%", fraction * 100.0);
-  return buf;
-}
-
-void append_json_string(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
+const char* severity_color(Severity severity) {
+  switch (severity) {
+    case Severity::kInfo: return "\x1b[36m";      // cyan
+    case Severity::kWarning: return "\x1b[33m";   // yellow
+    case Severity::kCritical: return "\x1b[31m";  // red
   }
-  out.push_back('"');
-}
-
-std::string html_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
+  return "";
 }
 
 /// Same median the scheduler's speculation heuristic uses: the upper median
@@ -196,6 +144,35 @@ bool JobReport::has_finding(std::string_view id) const noexcept {
     if (finding.id == id) return true;
   }
   return false;
+}
+
+void append_finding_text(std::string& out, const Finding& finding,
+                         bool color) {
+  out += "    [";
+  if (color) out += severity_color(finding.severity);
+  out += severity_name(finding.severity);
+  if (color) out += "\x1b[0m";
+  out += "] " + finding.id + ": " + finding.message + "\n";
+  out += "        -> " + finding.recommendation + "\n";
+}
+
+void append_findings_json(std::string& out,
+                          std::span<const Finding> findings) {
+  out += "[";
+  for (std::size_t i = 0; i < findings.size(); ++i) {
+    const Finding& finding = findings[i];
+    if (i > 0) out += ", ";
+    out += "{\"id\": ";
+    append_json_string(out, finding.id);
+    out += ", \"severity\": ";
+    append_json_string(out, severity_name(finding.severity));
+    out += ", \"message\": ";
+    append_json_string(out, finding.message);
+    out += ", \"recommendation\": ";
+    append_json_string(out, finding.recommendation);
+    out += "}";
+  }
+  out += "]";
 }
 
 JobReport analyze(const JobInput& input, const AnalyzeOptions& options) {
@@ -371,23 +348,129 @@ JobReport analyze(const JobInput& input, const AnalyzeOptions& options) {
   return report;
 }
 
-// ------------------------------------------------------------ offline intake
+// -------------------------------------------------------------- trace intake
+
+TraceEventFields::TraceEventFields(const common::JsonValue& event,
+                                   std::size_t index)
+    : event_(event), index_(index) {}
+
+void TraceEventFields::fail(const std::string& key,
+                            const std::string& problem) const {
+  std::string name = "?";
+  if (const auto it = event_.object.find("name");
+      it != event_.object.end() &&
+      it->second.type == common::JsonValue::Type::kString) {
+    name = it->second.string;
+  }
+  throw std::runtime_error("malformed trace event #" + std::to_string(index_) +
+                           " \"" + name + "\": " + key + " " + problem);
+}
+
+const std::string& TraceEventFields::text(const std::string& key) const {
+  static const std::string kEmpty;
+  const auto it = event_.object.find(key);
+  if (it == event_.object.end()) return kEmpty;
+  if (it->second.type != common::JsonValue::Type::kString) {
+    fail(key, "is not a string");
+  }
+  return it->second.string;
+}
+
+std::uint32_t TraceEventFields::id(const std::string& key) const {
+  const auto it = event_.object.find(key);
+  if (it == event_.object.end()) fail(key, "is missing");
+  if (it->second.type != common::JsonValue::Type::kNumber) {
+    fail(key, "is not a number");
+  }
+  return static_cast<std::uint32_t>(
+      integral(key, it->second.number, 0.0, 4294967296.0));
+}
+
+bool TraceEventFields::has_arg(const std::string& key) const {
+  const auto it = event_.object.find("args");
+  return it != event_.object.end() && it->second.has(key);
+}
+
+const std::string& TraceEventFields::arg(const std::string& key) const {
+  const auto it = event_.object.find("args");
+  if (it == event_.object.end() || !it->second.has(key)) {
+    fail("args." + key, "is missing");
+  }
+  const common::JsonValue& value = it->second.at(key);
+  if (value.type != common::JsonValue::Type::kString) {
+    fail("args." + key, "is not a string");
+  }
+  return value.string;
+}
+
+double TraceEventFields::real_arg(const std::string& key) const {
+  const std::string& text = arg(key);
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size()) {
+    fail("args." + key, "\"" + text + "\" is not a number");
+  }
+  if (!std::isfinite(value)) {
+    fail("args." + key, "\"" + text + "\" is not finite");
+  }
+  return value;
+}
+
+int TraceEventFields::int_arg(const std::string& key) const {
+  return static_cast<int>(integral("args." + key, real_arg(key),
+                                   -2147483648.0, 2147483648.0));
+}
+
+std::size_t TraceEventFields::count_arg(const std::string& key,
+                                        std::size_t max) const {
+  const auto value = static_cast<std::size_t>(
+      integral("args." + key, real_arg(key), 0.0, 18446744073709551616.0));
+  if (value > max) {
+    fail("args." + key,
+         std::to_string(value) + " exceeds the limit " + std::to_string(max));
+  }
+  return value;
+}
+
+double TraceEventFields::integral(const std::string& key, double value,
+                                  double lo, double hi_exclusive) const {
+  if (!std::isfinite(value) || value != std::floor(value) || value < lo ||
+      value >= hi_exclusive) {
+    fail(key, trace_double(value) + " is not an integer in [" +
+                  trace_double(lo) + ", " + trace_double(hi_exclusive) + ")");
+  }
+  return value;
+}
 
 namespace {
 
-double parse_exact(const std::string& text) {
-  return std::strtod(text.c_str(), nullptr);
-}
-
-/// "node 3 map slot 1" -> (3, "map", 1); returns false for other tracks.
-bool parse_track_name(const std::string& name, int* node, std::string* phase,
-                      int* slot) {
-  char phase_buf[32] = {0};
-  if (std::sscanf(name.c_str(), "node %d %31s slot %d", node, phase_buf,
-                  slot) != 3) {
-    return false;
+/// "node 3 map slot 1" -> (3, "map", 1); false for other tracks (shuffle,
+/// fetch).  A node track must name a node below kMaxTraceNodes and a
+/// non-negative int slot.
+bool parse_track_name(const TraceEventFields& fields, int* node,
+                      std::string* phase, int* slot) {
+  std::istringstream in(fields.arg("name"));
+  std::string node_word, slot_word;
+  long long node_value = 0, slot_value = 0;
+  if (!(in >> node_word) || node_word != "node") return false;
+  if (!(in >> node_value >> *phase >> slot_word >> slot_value) ||
+      slot_word != "slot") {
+    fields.fail("args.name", "\"" + fields.arg("name") +
+                                 "\" is not a \"node <n> <phase> slot <s>\" "
+                                 "track name");
   }
-  *phase = phase_buf;
+  if (node_value < 0 ||
+      node_value >= static_cast<long long>(kMaxTraceNodes)) {
+    fields.fail("args.name", "node " + std::to_string(node_value) +
+                                 " is outside [0, " +
+                                 std::to_string(kMaxTraceNodes) + ")");
+  }
+  if (slot_value < 0 || slot_value > 2147483647) {
+    fields.fail("args.name", "slot " + std::to_string(slot_value) +
+                                 " is not a non-negative int");
+  }
+  *node = static_cast<int>(node_value);
+  *slot = static_cast<int>(slot_value);
   return true;
 }
 
@@ -404,110 +487,95 @@ std::vector<JobInput> jobs_from_trace(const common::JsonValue& root) {
   std::map<std::pair<std::uint32_t, std::uint32_t>,
            std::pair<int, std::pair<std::string, int>>>
       tracks;  // (pid, tid) -> (node, (phase, slot))
-  for (const common::JsonValue& event : events.array) {
-    const auto pid = static_cast<std::uint32_t>(event.at("pid").number);
+  for (std::size_t i = 0; i < events.array.size(); ++i) {
+    const TraceEventFields fields(events.array[i], i);
+    const std::uint32_t pid = fields.id("pid");
     if (pid <= 1) continue;  // pid 1 is the wall clock
-    const std::string& ph = event.at("ph").string;
-    const std::string& name = event.at("name").string;
+    const std::string& ph = fields.text("ph");
+    const std::string& name = fields.text("name");
     if (ph == "M" && name == "process_name") {
-      std::string job_name = event.at("args").at("name").string;
+      std::string job_name = fields.arg("name");
       if (job_name.rfind("sim: ", 0) == 0) job_name.erase(0, 5);
       jobs[pid].name = std::move(job_name);
     } else if (ph == "M" && name == "thread_name") {
-      const auto tid = static_cast<std::uint32_t>(event.at("tid").number);
+      const std::uint32_t tid = fields.id("tid");
       int node = 0, slot = 0;
       std::string phase;
-      if (parse_track_name(event.at("args").at("name").string, &node, &phase,
-                           &slot)) {
+      if (parse_track_name(fields, &node, &phase, &slot)) {
         tracks[{pid, tid}] = {node, {phase, slot}};
       }
     } else if (ph == "i" && name == "job_config") {
-      const common::JsonValue& args = event.at("args");
       JobInput& job = jobs[pid];
-      job.nodes = static_cast<std::size_t>(parse_exact(args.at("nodes").string));
-      job.map_slots_per_node = static_cast<std::size_t>(
-          parse_exact(args.at("map_slots_per_node").string));
-      job.reduce_slots_per_node = static_cast<std::size_t>(
-          parse_exact(args.at("reduce_slots_per_node").string));
-      job.job_startup_s = parse_exact(args.at("job_startup_s").string);
-      if (args.has("shuffle_bytes")) {
-        job.shuffle_bytes = parse_exact(args.at("shuffle_bytes").string);
+      job.nodes = fields.count_arg("nodes", kMaxTraceNodes);
+      job.map_slots_per_node =
+          fields.count_arg("map_slots_per_node", kMaxTraceNodes);
+      job.reduce_slots_per_node =
+          fields.count_arg("reduce_slots_per_node", kMaxTraceNodes);
+      job.job_startup_s = fields.real_arg("job_startup_s");
+      if (fields.has_arg("shuffle_bytes")) {
+        job.shuffle_bytes = fields.real_arg("shuffle_bytes");
       }
     } else if (ph == "i" && name == "job_bytes") {
-      // %.17g strings restore the in-process byte totals bit-for-bit.
-      const common::JsonValue& args = event.at("args");
+      // %.17g strings restore the simulator's byte totals bit-for-bit.
       ByteSummary& bytes = jobs[pid].bytes;
-      bytes.map_input_bytes = parse_exact(args.at("map_input_bytes").string);
-      bytes.map_output_bytes = parse_exact(args.at("map_output_bytes").string);
-      bytes.reduce_input_bytes =
-          parse_exact(args.at("reduce_input_bytes").string);
-      bytes.reduce_output_bytes =
-          parse_exact(args.at("reduce_output_bytes").string);
-      bytes.fetch_bytes = parse_exact(args.at("fetch_bytes").string);
-      bytes.fetch_count =
-          static_cast<std::size_t>(parse_exact(args.at("fetch_count").string));
-      bytes.max_fetch_fan_in = static_cast<std::size_t>(
-          parse_exact(args.at("max_fetch_fan_in").string));
+      bytes.map_input_bytes = fields.real_arg("map_input_bytes");
+      bytes.map_output_bytes = fields.real_arg("map_output_bytes");
+      bytes.reduce_input_bytes = fields.real_arg("reduce_input_bytes");
+      bytes.reduce_output_bytes = fields.real_arg("reduce_output_bytes");
+      bytes.fetch_bytes = fields.real_arg("fetch_bytes");
+      bytes.fetch_count = fields.count_arg("fetch_count");
+      bytes.max_fetch_fan_in = fields.count_arg("max_fetch_fan_in");
     } else if (ph == "i" && name == "node_fault") {
       // Fault instants were appended in crash order, so file order rebuilds
-      // the exact FaultOutcome lists the in-process path feeds analyze().
-      const common::JsonValue& args = event.at("args");
+      // the exact FaultOutcome lists of the simulated timeline.
       FaultEventSample fault;
-      fault.node = static_cast<int>(parse_exact(args.at("node").string));
-      fault.crash_s = parse_exact(args.at("crash_s").string);
-      fault.detect_s = parse_exact(args.at("detect_s").string);
-      fault.recover_s = parse_exact(args.at("recover_s").string);
-      fault.blacklisted = args.at("blacklisted").string == "true";
+      fault.node = fields.int_arg("node");
+      fault.crash_s = fields.real_arg("crash_s");
+      fault.detect_s = fields.real_arg("detect_s");
+      fault.recover_s = fields.real_arg("recover_s");
+      fault.blacklisted = fields.arg("blacklisted") == "true";
       jobs[pid].fault_events.push_back(fault);
     } else if (ph == "i" && name == "job_lineage") {
       // obs v3: the pipeline claim the engine stamped onto this job.
-      const common::JsonValue& args = event.at("args");
       JobInput& job = jobs[pid];
-      job.pipeline = args.at("pipeline").string;
-      job.stage = args.at("stage").string;
-      job.round = static_cast<int>(parse_exact(args.at("round").string));
-      job.sequence =
-          static_cast<std::size_t>(parse_exact(args.at("sequence").string));
+      job.pipeline = fields.arg("pipeline");
+      job.stage = fields.arg("stage");
+      job.round = fields.int_arg("round");
+      job.sequence = fields.count_arg("sequence");
     } else if (ph == "i" && name == "lost_attempt") {
-      const common::JsonValue& args = event.at("args");
       LostAttemptSample lost;
-      lost.phase = args.at("phase").string;
-      lost.kind = args.at("kind").string;
-      lost.task = static_cast<std::size_t>(parse_exact(args.at("task").string));
-      lost.node = static_cast<int>(parse_exact(args.at("node").string));
-      lost.slot = static_cast<int>(parse_exact(args.at("slot").string));
-      lost.start_s = parse_exact(args.at("start_s").string);
-      lost.end_s = parse_exact(args.at("end_s").string);
+      lost.phase = fields.arg("phase");
+      lost.kind = fields.arg("kind");
+      lost.task = fields.count_arg("task");
+      lost.node = fields.int_arg("node");
+      lost.slot = fields.int_arg("slot");
+      lost.start_s = fields.real_arg("start_s");
+      lost.end_s = fields.real_arg("end_s");
       jobs[pid].lost_attempts.push_back(std::move(lost));
     }
   }
 
   // Pass 2: the tasks themselves; %.17g args restore exact doubles.
-  for (const common::JsonValue& event : events.array) {
-    if (event.at("ph").string != "X" || !event.has("cat") ||
-        event.at("cat").string != "sim") {
-      continue;
-    }
-    const auto pid = static_cast<std::uint32_t>(event.at("pid").number);
-    const common::JsonValue& args = event.at("args");
+  for (std::size_t i = 0; i < events.array.size(); ++i) {
+    const TraceEventFields fields(events.array[i], i);
+    if (fields.text("ph") != "X" || fields.text("cat") != "sim") continue;
+    const std::uint32_t pid = fields.id("pid");
     JobInput& job = jobs[pid];
-    const std::string& phase = args.at("phase").string;
+    const std::string& phase = fields.arg("phase");
     if (phase == "shuffle") {
-      job.shuffle_s = parse_exact(args.at("end_s").string);
+      job.shuffle_s = fields.real_arg("end_s");
       continue;
     }
     // Per-fetch shuffle events overlap the map phase and are already
     // accounted for by the aggregate shuffle tail; they are not tasks.
     if (phase == "fetch") continue;
     TaskSample task;
-    task.index =
-        static_cast<std::size_t>(parse_exact(args.at("task").string));
-    task.start_s = parse_exact(args.at("start_s").string);
-    task.end_s = parse_exact(args.at("end_s").string);
+    task.index = fields.count_arg("task");
+    task.start_s = fields.real_arg("start_s");
+    task.end_s = fields.real_arg("end_s");
     task.data_local =
-        !args.has("data_local") || args.at("data_local").string == "true";
-    const auto tid = static_cast<std::uint32_t>(event.at("tid").number);
-    const auto track = tracks.find({pid, tid});
+        !fields.has_arg("data_local") || fields.arg("data_local") == "true";
+    const auto track = tracks.find({pid, fields.id("tid")});
     if (track != tracks.end()) {
       task.node = track->second.first;
       task.slot = track->second.second.second;
@@ -534,7 +602,7 @@ std::vector<JobInput> jobs_from_trace(const common::JsonValue& root) {
     job.nodes = std::max(job.nodes, max_node + 1);
     job.trace_pid = pid;  // lets mrmc_doctor list/select jobs by sim track
     // Tasks were appended in trace order; restore phase-index order so the
-    // analyzer's sums run in the same order as the in-process path.
+    // analyzer's sums run in the simulator's order.
     auto by_index = [](const TaskSample& a, const TaskSample& b) {
       return a.index < b.index;
     };
@@ -545,13 +613,16 @@ std::vector<JobInput> jobs_from_trace(const common::JsonValue& root) {
   return out;
 }
 
-std::vector<JobReport> analyze_trace_file(const std::string& path,
-                                          const AnalyzeOptions& options) {
+common::JsonValue load_trace_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open trace file: " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const common::JsonValue root = common::parse_json(buffer.str());
+  return common::parse_json(buffer.str());
+}
+
+std::vector<JobReport> analyze_trace(const common::JsonValue& root,
+                                     const AnalyzeOptions& options) {
   std::vector<JobReport> reports;
   for (const JobInput& job : jobs_from_trace(root)) {
     reports.push_back(analyze(job, options));
@@ -559,20 +630,14 @@ std::vector<JobReport> analyze_trace_file(const std::string& path,
   return reports;
 }
 
+std::vector<JobReport> analyze_trace_file(const std::string& path,
+                                          const AnalyzeOptions& options) {
+  return analyze_trace(load_trace_file(path), options);
+}
+
 // ---------------------------------------------------------------- renderers
 
 namespace {
-
-constexpr const char* kReset = "\x1b[0m";
-
-const char* severity_color(Severity severity) {
-  switch (severity) {
-    case Severity::kInfo: return "\x1b[36m";      // cyan
-    case Severity::kWarning: return "\x1b[33m";   // yellow
-    case Severity::kCritical: return "\x1b[31m";  // red
-  }
-  return "";
-}
 
 /// 0..1 -> " ▁▂▃▄▅▆▇█" utilization bar glyph.
 const char* util_glyph(double fraction) {
@@ -683,12 +748,7 @@ std::string to_text(const JobReport& report, bool color) {
   } else {
     out += "  findings:\n";
     for (const Finding& finding : report.findings) {
-      out += "    [";
-      if (color) out += severity_color(finding.severity);
-      out += severity_name(finding.severity);
-      if (color) out += kReset;
-      out += "] " + finding.id + ": " + finding.message + "\n";
-      out += "        -> " + finding.recommendation + "\n";
+      append_finding_text(out, finding, color);
     }
   }
   return out;
@@ -709,17 +769,19 @@ void phase_json(std::string& out, const PhaseAnalysis& phase) {
   out += "{\"tasks\": " + std::to_string(phase.task_count) +
          ", \"slots\": " + std::to_string(phase.slots) +
          ", \"busy_slots\": " + std::to_string(phase.busy_slots) +
-         ", \"makespan_s\": " + f17(phase.makespan_s) +
-         ", \"busy_s\": " + f17(phase.busy_s) +
-         ", \"ideal_s\": " + f17(phase.ideal_s) +
-         ", \"parallel_efficiency\": " + f17(phase.parallel_efficiency) +
-         ", \"median_task_s\": " + f17(phase.median_task_s) +
-         ", \"max_task_s\": " + f17(phase.max_task_s) +
-         ", \"data_local_fraction\": " + f17(phase.data_local_fraction) +
+         ", \"makespan_s\": " + trace_double(phase.makespan_s) +
+         ", \"busy_s\": " + trace_double(phase.busy_s) +
+         ", \"ideal_s\": " + trace_double(phase.ideal_s) +
+         ", \"parallel_efficiency\": " +
+             trace_double(phase.parallel_efficiency) +
+         ", \"median_task_s\": " + trace_double(phase.median_task_s) +
+         ", \"max_task_s\": " + trace_double(phase.max_task_s) +
+         ", \"data_local_fraction\": " +
+             trace_double(phase.data_local_fraction) +
          ", \"node_busy_s\": [";
   for (std::size_t i = 0; i < phase.node_busy_s.size(); ++i) {
     if (i > 0) out += ", ";
-    out += f17(phase.node_busy_s[i]);
+    out += trace_double(phase.node_busy_s[i]);
   }
   out += "]}";
 }
@@ -740,14 +802,16 @@ std::string to_json(const JobReport& report) {
     out += ", \"round\": " + std::to_string(report.round) +
            ", \"sequence\": " + std::to_string(report.sequence) + "}";
   }
-  out += ", \"critical_path\": {\"startup_s\": " + f17(report.startup_s) +
-         ", \"map_s\": " + f17(report.map_phase.makespan_s) +
-         ", \"shuffle_s\": " + f17(report.shuffle_s) +
-         ", \"reduce_s\": " + f17(report.reduce_phase.makespan_s) +
-         ", \"total_s\": " + f17(report.total_s) + "}" +
-         ", \"parallel_efficiency\": " + f17(report.parallel_efficiency) +
-         ", \"overhead_fraction\": " + f17(report.overhead_fraction) +
-         ", \"shuffle_bytes\": " + f17(report.shuffle_bytes) +
+  out += ", \"critical_path\": {\"startup_s\": " +
+             trace_double(report.startup_s) +
+         ", \"map_s\": " + trace_double(report.map_phase.makespan_s) +
+         ", \"shuffle_s\": " + trace_double(report.shuffle_s) +
+         ", \"reduce_s\": " + trace_double(report.reduce_phase.makespan_s) +
+         ", \"total_s\": " + trace_double(report.total_s) + "}" +
+         ", \"parallel_efficiency\": " +
+             trace_double(report.parallel_efficiency) +
+         ", \"overhead_fraction\": " + trace_double(report.overhead_fraction) +
+         ", \"shuffle_bytes\": " + trace_double(report.shuffle_bytes) +
          ", \"map\": ";
   phase_json(out, report.map_phase);
   out += ", \"reduce\": ";
@@ -756,19 +820,22 @@ std::string to_json(const JobReport& report) {
   for (std::size_t i = 0; i < report.node_utilization.size(); ++i) {
     if (i > 0) out += ", ";
     out += "{\"node\": " + std::to_string(report.node_utilization[i].node) +
-           ", \"busy_s\": " + f17(report.node_utilization[i].busy_s) +
-           ", \"utilization\": " + f17(report.node_utilization[i].utilization) +
+           ", \"busy_s\": " + trace_double(report.node_utilization[i].busy_s) +
+           ", \"utilization\": " +
+               trace_double(report.node_utilization[i].utilization) +
            "}";
   }
   out += "]";
   if (!report.bytes.empty()) {
     out += ", \"bytes\": {\"map_input_bytes\": " +
-           f17(report.bytes.map_input_bytes) +
-           ", \"map_output_bytes\": " + f17(report.bytes.map_output_bytes) +
-           ", \"reduce_input_bytes\": " + f17(report.bytes.reduce_input_bytes) +
+           trace_double(report.bytes.map_input_bytes) +
+           ", \"map_output_bytes\": " +
+               trace_double(report.bytes.map_output_bytes) +
+           ", \"reduce_input_bytes\": " +
+               trace_double(report.bytes.reduce_input_bytes) +
            ", \"reduce_output_bytes\": " +
-           f17(report.bytes.reduce_output_bytes) +
-           ", \"fetch_bytes\": " + f17(report.bytes.fetch_bytes) +
+           trace_double(report.bytes.reduce_output_bytes) +
+           ", \"fetch_bytes\": " + trace_double(report.bytes.fetch_bytes) +
            ", \"fetch_count\": " + std::to_string(report.bytes.fetch_count) +
            ", \"max_fetch_fan_in\": " +
            std::to_string(report.bytes.max_fetch_fan_in) + "}";
@@ -782,16 +849,16 @@ std::string to_json(const JobReport& report) {
            std::to_string(report.faults.lost_map_outputs) +
            ", \"blacklisted_nodes\": " +
            std::to_string(report.faults.blacklisted_nodes) +
-           ", \"lost_work_s\": " + f17(report.faults.lost_work_s) +
-           ", \"downtime_s\": " + f17(report.faults.downtime_s) +
+           ", \"lost_work_s\": " + trace_double(report.faults.lost_work_s) +
+           ", \"downtime_s\": " + trace_double(report.faults.downtime_s) +
            ", \"events\": [";
     for (std::size_t i = 0; i < report.faults.events.size(); ++i) {
       const FaultEventSample& event = report.faults.events[i];
       if (i > 0) out += ", ";
       out += "{\"node\": " + std::to_string(event.node) +
-             ", \"crash_s\": " + f17(event.crash_s) +
-             ", \"detect_s\": " + f17(event.detect_s) +
-             ", \"recover_s\": " + f17(event.recover_s) +
+             ", \"crash_s\": " + trace_double(event.crash_s) +
+             ", \"detect_s\": " + trace_double(event.detect_s) +
+             ", \"recover_s\": " + trace_double(event.recover_s) +
              ", \"blacklisted\": " + (event.blacklisted ? "true" : "false") +
              "}";
     }
@@ -806,26 +873,14 @@ std::string to_json(const JobReport& report) {
       out += ", \"task\": " + std::to_string(lost.task) +
              ", \"node\": " + std::to_string(lost.node) +
              ", \"slot\": " + std::to_string(lost.slot) +
-             ", \"start_s\": " + f17(lost.start_s) +
-             ", \"end_s\": " + f17(lost.end_s) + "}";
+             ", \"start_s\": " + trace_double(lost.start_s) +
+             ", \"end_s\": " + trace_double(lost.end_s) + "}";
     }
     out += "]}";
   }
-  out += ", \"findings\": [";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const Finding& finding = report.findings[i];
-    if (i > 0) out += ", ";
-    out += "{\"id\": ";
-    append_json_string(out, finding.id);
-    out += ", \"severity\": ";
-    append_json_string(out, severity_name(finding.severity));
-    out += ", \"message\": ";
-    append_json_string(out, finding.message);
-    out += ", \"recommendation\": ";
-    append_json_string(out, finding.recommendation);
-    out += "}";
-  }
-  out += "]}";
+  out += ", \"findings\": ";
+  append_findings_json(out, report.findings);
+  out += "}";
   return out;
 }
 
@@ -914,21 +969,21 @@ void gantt_svg(std::string& out, const JobReport& report,
 /// Per-node utilization strip: 100 bins over [0, total_s], opacity = the
 /// node's busy slot-seconds in the bin over its available slot-seconds.
 void utilization_svg(std::string& out, const JobReport& report,
-                     const JobInput* input) {
-  if (input == nullptr || report.total_s <= 0.0) return;
+                     const JobInput& input) {
+  if (report.total_s <= 0.0) return;
   constexpr int kBins = 100;
   constexpr double kWidth = 860.0, kLabel = 110.0, kRowH = 14.0;
   const double total = report.total_s;
   const double bin_s = total / kBins;
   const double slots_per_node = static_cast<double>(
-      std::max(input->map_slots_per_node, input->reduce_slots_per_node));
-  const double height = kRowH * static_cast<double>(input->nodes) + 6.0;
+      std::max(input.map_slots_per_node, input.reduce_slots_per_node));
+  const double height = kRowH * static_cast<double>(input.nodes) + 6.0;
   out += "<svg viewBox=\"0 0 " + f2(kWidth) + " " + f2(height) +
          "\" style=\"width:100%;max-width:" + f2(kWidth) + "px\">\n";
   const double map_offset = report.startup_s;
   const double reduce_offset =
       report.startup_s + report.map_phase.makespan_s + report.shuffle_s;
-  for (std::size_t node = 0; node < input->nodes; ++node) {
+  for (std::size_t node = 0; node < input.nodes; ++node) {
     std::vector<double> busy(kBins, 0.0);
     auto accumulate = [&](const std::vector<TaskSample>& tasks, double offset) {
       for (const TaskSample& task : tasks) {
@@ -943,8 +998,8 @@ void utilization_svg(std::string& out, const JobReport& report,
         }
       }
     };
-    accumulate(input->map_tasks, map_offset);
-    accumulate(input->reduce_tasks, reduce_offset);
+    accumulate(input.map_tasks, map_offset);
+    accumulate(input.reduce_tasks, reduce_offset);
     const double y = 2.0 + kRowH * static_cast<double>(node);
     out += "<text x=\"0\" y=\"" + f2(y + 10.0) + "\" class=\"lbl\">node " +
            std::to_string(node) + "</text>\n";
@@ -982,13 +1037,9 @@ void critical_path_bar(std::string& out, const JobReport& report) {
   out += "</div>\n";
 }
 
-}  // namespace
-
-namespace detail {
-
-/// HTML for one job; `input` (optional) enables the Gantt + utilization
-/// strips, which need the raw task placements.
-std::string job_html(const JobReport& report, const JobInput* input) {
+/// HTML for one job; the Gantt and utilization strips draw from `input`'s
+/// raw task placements.
+std::string job_html(const JobReport& report, const JobInput& input) {
   std::string out;
   out += "<section>\n<h2>" + html_escape(report.name) + "</h2>\n";
   out += "<p class=\"sum\">total <b>" + f2(report.total_s) + "s</b> on " +
@@ -1005,48 +1056,25 @@ std::string job_html(const JobReport& report, const JobInput* input) {
     out += "</p>\n";
   }
   critical_path_bar(out, report);
-  if (input != nullptr) {
-    std::vector<GanttRow> rows;
-    AnalyzeOptions defaults;
-    phase_rows(report.map_phase, input->map_tasks, report.startup_s, kMapColor,
-               defaults.straggler_factor, rows);
-    if (report.shuffle_s > 0.0) {
-      rows.push_back({"shuffle",
-                      kShuffleColor,
-                      {{report.startup_s + report.map_phase.makespan_s,
-                        report.startup_s + report.map_phase.makespan_s +
-                            report.shuffle_s}},
-                      {false}});
-    }
-    phase_rows(report.reduce_phase, input->reduce_tasks,
-               report.startup_s + report.map_phase.makespan_s +
-                   report.shuffle_s,
-               kReduceColor, defaults.straggler_factor, rows);
-    out += "<h3>schedule</h3>\n";
-    gantt_svg(out, report, rows);
-    out += "<h3>node utilization</h3>\n";
-    utilization_svg(out, report, input);
-  } else {
-    // Without the raw task placements (report-only rendering) draw the
-    // whole-run per-node utilization as horizontal bars.
-    constexpr double kWidth = 860.0, kLabel = 110.0, kRowH = 14.0;
-    out += "<h3>node utilization</h3>\n<svg viewBox=\"0 0 " + f2(kWidth) +
-           " " +
-           f2(kRowH * static_cast<double>(report.node_utilization.size()) +
-              6.0) +
-           "\" style=\"width:100%;max-width:" + f2(kWidth) + "px\">\n";
-    for (std::size_t i = 0; i < report.node_utilization.size(); ++i) {
-      const NodeUtilization& node = report.node_utilization[i];
-      const double y = 2.0 + kRowH * static_cast<double>(i);
-      out += "<text x=\"0\" y=\"" + f2(y + 10.0) + "\" class=\"lbl\">node " +
-             std::to_string(node.node) + "</text>\n";
-      out += "<rect x=\"" + f2(kLabel) + "\" y=\"" + f2(y) + "\" width=\"" +
-             f2((kWidth - kLabel) * std::min(1.0, node.utilization)) +
-             "\" height=\"" + f2(kRowH - 3.0) + "\" fill=\"" + kMapColor +
-             "\"><title>" + pct(node.utilization) + "</title></rect>\n";
-    }
-    out += "</svg>\n";
+  std::vector<GanttRow> rows;
+  const AnalyzeOptions defaults;
+  phase_rows(report.map_phase, input.map_tasks, report.startup_s, kMapColor,
+             defaults.straggler_factor, rows);
+  if (report.shuffle_s > 0.0) {
+    rows.push_back({"shuffle",
+                    kShuffleColor,
+                    {{report.startup_s + report.map_phase.makespan_s,
+                      report.startup_s + report.map_phase.makespan_s +
+                          report.shuffle_s}},
+                    {false}});
   }
+  phase_rows(report.reduce_phase, input.reduce_tasks,
+             report.startup_s + report.map_phase.makespan_s + report.shuffle_s,
+             kReduceColor, defaults.straggler_factor, rows);
+  out += "<h3>schedule</h3>\n";
+  gantt_svg(out, report, rows);
+  out += "<h3>node utilization</h3>\n";
+  utilization_svg(out, report, input);
   if (!report.bytes.empty()) {
     out += "<h3>bytes</h3>\n<p class=\"sum\">map in <b>" +
            f2(report.bytes.map_input_bytes / 1e6) + " MB</b>, out <b>" +
@@ -1126,120 +1154,31 @@ std::string page_html(const std::string& body) {
          body + "</body></html>\n";
 }
 
-}  // namespace detail
+}  // namespace
 
-std::string to_html(std::span<const JobReport> reports) {
+std::string to_html(std::span<const JobReport> reports,
+                    std::span<const JobInput> inputs) {
   std::string body;
-  for (const JobReport& report : reports) {
-    body += detail::job_html(report, nullptr);
+  for (std::size_t i = 0; i < reports.size() && i < inputs.size(); ++i) {
+    body += job_html(reports[i], inputs[i]);
   }
-  return detail::page_html(body);
+  return page_html(body);
 }
 
-// --------------------------------------------------------------- collector
-
-Collector::Collector() {
-  if (const char* path = std::getenv("MRMC_REPORT")) {
-    if (*path != '\0') {
-      output_path_ = path;
-      enabled_ = true;
-    }
-  }
+const char* format_for(std::string_view path) noexcept {
+  if (path.ends_with(".html")) return "html";
+  if (path.ends_with(".json")) return "json";
+  return "text";
 }
 
-Collector::~Collector() { flush(); }
-
-Collector& Collector::global() {
-  static Collector collector;
-  return collector;
-}
-
-bool Collector::enabled() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return enabled_;
-}
-
-void Collector::set_enabled(bool enabled) noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  enabled_ = enabled;
-}
-
-void Collector::set_output_path(std::string path) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  output_path_ = std::move(path);
-}
-
-std::string Collector::output_path() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return output_path_;
-}
-
-void Collector::add(JobInput input) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  inputs_.push_back(std::move(input));
-}
-
-std::size_t Collector::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return inputs_.size();
-}
-
-void Collector::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  inputs_.clear();
-}
-
-std::vector<JobReport> Collector::reports(const AnalyzeOptions& options) const {
-  std::vector<JobInput> inputs;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inputs = inputs_;
-  }
-  std::vector<JobReport> out;
-  out.reserve(inputs.size());
-  for (const JobInput& input : inputs) out.push_back(analyze(input, options));
-  return out;
-}
-
-bool Collector::flush() const {
-  std::string path;
-  std::vector<JobInput> inputs;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!enabled_ || output_path_.empty()) return false;
-    path = output_path_;
-    inputs = inputs_;
-  }
-  if (inputs.empty()) return false;
-
+std::string render(std::span<const JobInput> jobs, std::string_view format,
+                   bool color) {
   std::vector<JobReport> reports;
-  reports.reserve(inputs.size());
-  for (const JobInput& input : inputs) reports.push_back(analyze(input));
-
-  std::string rendered;
-  const auto ends_with = [&](std::string_view suffix) {
-    return path.size() >= suffix.size() &&
-           std::string_view(path).substr(path.size() - suffix.size()) == suffix;
-  };
-  if (ends_with(".html")) {
-    std::string body;
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-      body += detail::job_html(reports[i], &inputs[i]);
-    }
-    rendered = detail::page_html(body);
-  } else if (ends_with(".json")) {
-    rendered = to_json(std::span<const JobReport>(reports));
-  } else {
-    rendered = to_text(std::span<const JobReport>(reports));
-  }
-
-  if (!common::write_file_atomic(path, rendered)) {
-    logger().warn("failed writing report output file", {{"path", path}});
-    return false;
-  }
-  return true;
+  reports.reserve(jobs.size());
+  for (const JobInput& job : jobs) reports.push_back(analyze(job));
+  if (format == "html") return to_html(reports, jobs);
+  if (format == "json") return to_json(reports);
+  return to_text(reports, color);
 }
-
-bool Collector::write_global_if_configured() { return global().flush(); }
 
 }  // namespace mrmc::obs::report

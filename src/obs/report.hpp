@@ -1,9 +1,9 @@
 // Post-hoc job doctor: turns raw telemetry into answers.
 //
-// The analyzer consumes one simulated job's schedule — either handed over
-// in-process (mr::simulate_job feeds the global Collector when MRMC_REPORT
-// is set) or reconstructed offline from a flushed Chrome-trace JSON file
-// (the mrmc_doctor CLI) — and produces a structured JobReport:
+// The analyzer consumes one simulated job's schedule, reconstructed from a
+// Chrome trace by jobs_from_trace() — a flushed trace file (the mrmc_doctor
+// CLI) or the live tracer's events (MRMC_REPORT, via
+// obs::pipeline::ReportSink) — and produces a structured JobReport:
 //
 //   * critical-path decomposition: startup / map / shuffle / reduce, the
 //     longest chain versus the sum of task work, and the parallel
@@ -18,17 +18,19 @@
 // JSON (to_json) whose doubles are printed with %.17g so an offline reader
 // recovers the scheduler's numbers bit-for-bit.
 //
-// Both ingestion paths run the same analyze() over the same JobInput
-// fields, and every derived quantity is combined in a fixed left-to-right
-// order, so the offline report equals the in-process one EXACTLY (asserted
-// by tests/obs/report_test.cpp and the mrmc_doctor round-trip test).
+// The trace is the only intake, so an in-process report and `mrmc_doctor`
+// on the same run's trace are the same code.  Every derived quantity is
+// combined in a fixed left-to-right order, and the trace's %.17g args
+// restore the scheduler's doubles exactly, so a report equals the one
+// analyze(mr::report_input(timeline, ...)) gives (asserted by
+// tests/obs/report_test.cpp and tests/obs/trace_roundtrip_test.cpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/mini_json.hpp"
@@ -75,7 +77,7 @@ struct LostAttemptSample {
 /// producer recorded none — the renderers then omit the Bytes section
 /// entirely, keeping byte-less reports byte-identical to older builds.
 /// Doubles travel as %.17g through the trace ("job_bytes" instant), so the
-/// offline report equals the in-process one exactly.
+/// report carries the simulator's totals exactly.
 struct ByteSummary {
   double map_input_bytes = 0.0;      ///< split bytes the map tasks read
   double map_output_bytes = 0.0;     ///< spill bytes the map tasks wrote
@@ -92,8 +94,8 @@ struct ByteSummary {
   }
 };
 
-/// Everything the analyzer needs about one simulated job, however obtained
-/// (mr::report_input() in-process, jobs_from_trace() offline).
+/// Everything the analyzer needs about one simulated job (jobs_from_trace();
+/// tests build it from a JobTimeline with mr::report_input()).
 struct JobInput {
   std::string name = "job";
   std::size_t nodes = 1;
@@ -114,9 +116,9 @@ struct JobInput {
   std::string stage;         ///< stage name within the pipeline
   int round = -1;            ///< iteration index for round drivers; -1 = none
   std::size_t sequence = 0;  ///< 0-based position within the pipeline
-  /// Sim track the job occupies in a flushed trace (offline intake only;
-  /// 0 in-process).  mrmc_doctor's `jobs` listing and --job selector key
-  /// on it; never rendered into reports.
+  /// Sim track the job occupies in the trace (0 when not built from one).
+  /// mrmc_doctor's `jobs` listing and --job selector key on it; never
+  /// rendered into reports.
   std::uint32_t trace_pid = 0;
 };
 
@@ -210,7 +212,7 @@ struct JobReport {
   std::string stage;
   int round = -1;
   std::size_t sequence = 0;
-  std::uint32_t trace_pid = 0;  ///< offline intake only; not rendered
+  std::uint32_t trace_pid = 0;  ///< trace intake only; not rendered
 
   [[nodiscard]] bool has_finding(std::string_view id) const noexcept;
 };
@@ -219,19 +221,71 @@ struct JobReport {
 [[nodiscard]] JobReport analyze(const JobInput& input,
                                 const AnalyzeOptions& options = {});
 
-// ----------------------------------------------------------- offline intake
+/// One finding as an indented two-line text entry ("    [severity] id: ..."
+/// then the "-> recommendation" line); `color` adds SGR escapes.
+void append_finding_text(std::string& out, const Finding& finding, bool color);
+
+/// Findings as a JSON array of {id, severity, message, recommendation}.
+void append_findings_json(std::string& out, std::span<const Finding> findings);
+
+// ------------------------------------------------------------ trace intake
+
+/// Largest node count (and slots per node) a trace may claim; a bigger one
+/// is rejected instead of sizing per-node tables from it.
+inline constexpr std::size_t kMaxTraceNodes = 1u << 16;
+
+/// Checked reads of one event of a parsed trace, shared by the trace
+/// decoders.  Every accessor throws std::runtime_error naming the event
+/// (index and name) and the key when the value is missing, is not a number,
+/// is not finite, or — for the integer readers — is not an integer that
+/// fits the target type (and `max`, where given).
+class TraceEventFields {
+ public:
+  TraceEventFields(const common::JsonValue& event, std::size_t index);
+
+  /// A top-level string field ("ph", "name", "cat"; "" when absent).
+  [[nodiscard]] const std::string& text(const std::string& key) const;
+  /// A top-level numeric id ("pid", "tid").
+  [[nodiscard]] std::uint32_t id(const std::string& key) const;
+
+  [[nodiscard]] bool has_arg(const std::string& key) const;
+  [[nodiscard]] const std::string& arg(const std::string& key) const;
+  /// A string arg holding a finite number (the trace's %.17g doubles).
+  [[nodiscard]] double real_arg(const std::string& key) const;
+  [[nodiscard]] int int_arg(const std::string& key) const;
+  [[nodiscard]] std::size_t count_arg(const std::string& key,
+                                      std::size_t max = SIZE_MAX) const;
+
+  [[noreturn]] void fail(const std::string& key,
+                         const std::string& problem) const;
+
+ private:
+  /// `value` when it is a whole number in [lo, hi_exclusive).
+  double integral(const std::string& key, double value, double lo,
+                  double hi_exclusive) const;
+
+  const common::JsonValue& event_;
+  std::size_t index_;
+};
 
 /// Reconstruct the analyzer inputs from a parsed Chrome trace (the format
 /// obs::Tracer::write_chrome_trace emits): sim pids become jobs, their
 /// %.17g start_s/end_s args restore the scheduler's doubles exactly, and
 /// the job_config instant restores the cluster shape.  Jobs appear in
-/// trace (pid) order.  Throws std::runtime_error on a malformed trace.
+/// trace (pid) order.  Throws std::runtime_error on a malformed trace,
+/// naming the offending event and key.
 [[nodiscard]] std::vector<JobInput> jobs_from_trace(
     const common::JsonValue& root);
 
-/// Parse + reconstruct + analyze a trace file end to end (what mrmc_doctor
-/// does).  Throws std::runtime_error when the file is unreadable or is not
-/// a trace.
+/// Read and parse a trace file.  Throws std::runtime_error when the file is
+/// unreadable or is not JSON.
+[[nodiscard]] common::JsonValue load_trace_file(const std::string& path);
+
+/// Reconstruct + analyze every job of a parsed trace.
+[[nodiscard]] std::vector<JobReport> analyze_trace(
+    const common::JsonValue& root, const AnalyzeOptions& options = {});
+
+/// load_trace_file + analyze_trace.
 [[nodiscard]] std::vector<JobReport> analyze_trace_file(
     const std::string& path, const AnalyzeOptions& options = {});
 
@@ -249,46 +303,18 @@ struct JobReport {
 /// Self-contained HTML page: per job an inline-SVG Gantt (one row per
 /// node/slot, stragglers outlined), per-node utilization strips, the
 /// critical-path bar, and the findings list.  No external assets.
-[[nodiscard]] std::string to_html(std::span<const JobReport> reports);
+/// `inputs[i]` is the job `reports[i]` was analyzed from.
+[[nodiscard]] std::string to_html(std::span<const JobReport> reports,
+                                  std::span<const JobInput> inputs);
 
-// -------------------------------------------------------------- collector
+/// The output format a report path asks for: "html" for *.html, "json" for
+/// *.json, "text" otherwise.
+[[nodiscard]] const char* format_for(std::string_view path) noexcept;
 
-/// Process-global report sink, mirroring Tracer/Registry: when MRMC_REPORT
-/// names a file (or set_output_path() is called), mr::simulate_job feeds
-/// every job's JobInput here and flush() writes the rendered report —
-/// HTML when the path ends in .html, JSON for .json, text otherwise.
-class Collector {
- public:
-  static Collector& global();  ///< first use reads MRMC_REPORT
-
-  [[nodiscard]] bool enabled() const noexcept;
-  void set_enabled(bool enabled) noexcept;
-  void set_output_path(std::string path);
-  [[nodiscard]] std::string output_path() const;
-
-  void add(JobInput input);
-  [[nodiscard]] std::size_t size() const;
-  void clear();
-
-  /// Analyze everything collected so far.
-  [[nodiscard]] std::vector<JobReport> reports(
-      const AnalyzeOptions& options = {}) const;
-
-  /// Render to the configured path.  Returns true when a file was written.
-  bool flush() const;
-
-  /// flush() on the global collector, for pipeline/process boundaries.
-  static bool write_global_if_configured();
-
-  ~Collector();
-
- private:
-  Collector();
-
-  mutable std::mutex mutex_;
-  bool enabled_ = false;
-  std::string output_path_;
-  std::vector<JobInput> inputs_;
-};
+/// Analyze `jobs` and render them in `format` ("html", "json", else text);
+/// `color` applies to text only.  The one renderer behind MRMC_REPORT and
+/// `mrmc_doctor`.
+[[nodiscard]] std::string render(std::span<const JobInput> jobs,
+                                 std::string_view format, bool color = false);
 
 }  // namespace mrmc::obs::report

@@ -18,6 +18,8 @@
 // exported JSON round-trips the scheduler's doubles exactly (asserted by
 // tests).  Enable with MRMC_TRACE=<out.json> (written on flush / process
 // exit) or programmatically via set_enabled() for in-memory inspection.
+// MRMC_REPORT / MRMC_PIPELINE also turn it on, in memory only: the doctor
+// reports they name are built from these events (obs::pipeline::ReportSink).
 #pragma once
 
 #include <atomic>
@@ -31,6 +33,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/mini_json.hpp"
 
 namespace mrmc::obs {
 
@@ -146,6 +150,10 @@ class Tracer {
 
   /// Serialize everything recorded so far as Chrome trace-event JSON.
   void write_chrome_trace(std::ostream& out) const;
+
+  /// Everything recorded so far as the parsed JSON a flushed trace file
+  /// would contain — what the doctors' trace decoders read in-process.
+  [[nodiscard]] common::JsonValue parsed_trace() const;
 
   /// write_chrome_trace() to the configured output path, if any.
   /// Returns true when a file was written.

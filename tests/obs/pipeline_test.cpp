@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -11,10 +12,12 @@
 #include "common/mini_json.hpp"
 #include "core/mrmc.hpp"
 #include "mr/faults.hpp"
+#include "mr/simdfs.hpp"
 #include "obs/progress.hpp"
 #include "obs/report.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
+#include "pig/pig.hpp"
 #include "simdata/datasets.hpp"
 
 namespace mrmc::obs::pipeline {
@@ -235,12 +238,9 @@ class PipelineDoctorTest : public ::testing::Test {
     Tracer::global().clear();
     Tracer::global().set_output_path("");
     Tracer::global().set_enabled(true);
-    Collector::global().clear();
-    Collector::global().set_enabled(true);
   }
   void TearDown() override {
-    Collector::global().set_enabled(false);
-    Collector::global().clear();
+    ReportSink::global().set_pipeline_path("");
     Tracer::global().set_enabled(false);
     Tracer::global().set_output_path("");
     Tracer::global().clear();
@@ -269,32 +269,33 @@ class PipelineDoctorTest : public ::testing::Test {
     Tracer::global().set_output_path(trace_path);
     return core::run_pipeline(sample_reads(80), params, exec);
   }
+
+  /// The pipelines the live tracer holds — what MRMC_PIPELINE renders.
+  static std::vector<PipelineReport> traced_reports(
+      const PipelineAnalyzeOptions& options = {}) {
+    return analyze_trace(Tracer::global().parsed_trace(), options);
+  }
+
+  static std::string read_file(const std::string& path) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  }
+
+  /// Wall-free report JSON with the process-serial pipeline id normalized,
+  /// for comparing the simulated layer across runs.
+  static std::string sim_json(PipelineReport report) {
+    report.id = "normalized";
+    for (auto& stage : report.stages) stage.job.pipeline = "normalized";
+    return to_json(report);
+  }
 };
-
-TEST_F(PipelineDoctorTest, TraceReconstructionIsByteIdenticalToInProcess) {
-  const std::string trace_path =
-      ::testing::TempDir() + "/mrmc_pipeline_roundtrip.json";
-  run_sample(trace_path);
-
-  const std::vector<PipelineReport> in_process =
-      Collector::global().reports();
-  ASSERT_EQ(in_process.size(), 1u);
-  EXPECT_EQ(in_process[0].stages.size(), 3u);
-
-  const std::vector<PipelineReport> offline = analyze_trace_file(trace_path);
-  ASSERT_EQ(offline.size(), 1u);
-  // The whole serialized report — sim facts AND the driver's wall windows —
-  // agrees byte for byte with the in-process collection.
-  EXPECT_EQ(to_json(in_process[0]), to_json(offline[0]));
-  EXPECT_EQ(to_text(in_process[0]), to_text(offline[0]));
-}
 
 TEST_F(PipelineDoctorTest, LshCandidateStagesAppearAndRoundTrip) {
   // The LSH backend adds two jobs the doctor has never been taught about —
   // "candidates" and "verify" — and the stage list must pick them up from
-  // lineage alone, with the trace reconstruction still byte-identical.
-  const std::string trace_path =
-      ::testing::TempDir() + "/mrmc_pipeline_candidates.json";
+  // lineage alone.
   core::PipelineParams params;
   params.minhash = {.kmer = 5, .num_hashes = 40, .canonical = true, .seed = 1};
   params.mode = core::Mode::kGreedy;
@@ -303,80 +304,74 @@ TEST_F(PipelineDoctorTest, LshCandidateStagesAppearAndRoundTrip) {
   core::ExecutionOptions exec;
   exec.threads = 2;
   exec.records_per_split = 16;
-  Tracer::global().set_output_path(trace_path);
   core::run_pipeline(sample_reads(80), params, exec);
 
-  const std::vector<PipelineReport> in_process =
-      Collector::global().reports();
-  ASSERT_EQ(in_process.size(), 1u);
-  ASSERT_EQ(in_process[0].stages.size(), 4u);
-  EXPECT_EQ(in_process[0].stages[0].job.name, "sketch");
-  EXPECT_EQ(in_process[0].stages[1].job.name, "candidates");
-  EXPECT_EQ(in_process[0].stages[2].job.name, "verify");
-  EXPECT_EQ(in_process[0].stages[3].job.name, "greedy-cluster");
-
-  const std::vector<PipelineReport> offline = analyze_trace_file(trace_path);
-  ASSERT_EQ(offline.size(), 1u);
-  EXPECT_EQ(to_json(in_process[0]), to_json(offline[0]));
-  EXPECT_EQ(to_text(in_process[0]), to_text(offline[0]));
+  const std::vector<PipelineReport> reports = traced_reports();
+  ASSERT_EQ(reports.size(), 1u);
+  ASSERT_EQ(reports[0].stages.size(), 4u);
+  EXPECT_EQ(reports[0].stages[0].job.name, "sketch");
+  EXPECT_EQ(reports[0].stages[1].job.name, "candidates");
+  EXPECT_EQ(reports[0].stages[2].job.name, "verify");
+  EXPECT_EQ(reports[0].stages[3].job.name, "greedy-cluster");
+  EXPECT_TRUE(reports[0].has_wall);
 }
 
 TEST_F(PipelineDoctorTest, SamplerProgressAndFaultsLeaveTheReportIdentical) {
-  // Combined-feature round trip: resource sampler + fault plan + progress
-  // tracking + lineage all on.  Counter and flow events ride along in the
-  // trace but must not perturb the reconstructed pipeline report.
+  // Combined-feature run: resource sampler + fault plan + progress tracking
+  // + lineage all on.  Counter and flow events ride along in the trace but
+  // must not perturb the reconstructed pipeline report: its simulated layer
+  // equals that of the same faulted run with sampler and progress off.
   const std::string trace_path =
       ::testing::TempDir() + "/mrmc_pipeline_combined.json";
+  core::PipelineParams params;
+  params.minhash = {.kmer = 5, .num_hashes = 40, .canonical = true, .seed = 1};
+  params.mode = core::Mode::kHierarchical;
+  params.theta = 0.5;
+  core::ExecutionOptions exec;
+  exec.threads = 2;
+  exec.records_per_split = 16;
+  exec.fault_plan =
+      mr::faults::FaultPlan::random(11, exec.cluster.nodes, 1, 30.0);
+  core::run_pipeline(sample_reads(80), params, exec);
+  PipelineAnalyzeOptions sim_only;
+  sim_only.include_wall = false;
+  const std::vector<PipelineReport> plain = traced_reports(sim_only);
+  Tracer::global().clear();
 
   auto& progress_tracker = obs::progress::Tracker::global();
   progress_tracker.set_render(false);
   progress_tracker.set_enabled(true);
-  core::PipelineResult result;
   {
     SamplerScope sampler(ResourceSampler::global());
-    core::PipelineParams params;
-    params.minhash = {.kmer = 5, .num_hashes = 40, .canonical = true,
-                      .seed = 1};
-    params.mode = core::Mode::kHierarchical;
-    params.theta = 0.5;
-    core::ExecutionOptions exec;
-    exec.threads = 2;
-    exec.records_per_split = 16;
-    exec.fault_plan = mr::faults::FaultPlan::random(11, exec.cluster.nodes, 1,
-                                                    30.0);
     Tracer::global().set_output_path(trace_path);
-    result = core::run_pipeline(sample_reads(80), params, exec);
+    core::run_pipeline(sample_reads(80), params, exec);
   }
   progress_tracker.set_enabled(false);
 
   // The trace really carries the ride-along layers...
-  std::ifstream in(trace_path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  EXPECT_NE(text.str().find("sim progress"), std::string::npos);
-  EXPECT_NE(text.str().find("sim active tasks"), std::string::npos);
-  EXPECT_NE(text.str().find("\"ph\": \"s\""), std::string::npos);
-  EXPECT_NE(text.str().find("job_lineage"), std::string::npos);
+  const std::string text = read_file(trace_path);
+  EXPECT_NE(text.find("sim progress"), std::string::npos);
+  EXPECT_NE(text.find("sim active tasks"), std::string::npos);
+  EXPECT_NE(text.find("\"ph\": \"s\""), std::string::npos);
+  EXPECT_NE(text.find("job_lineage"), std::string::npos);
 
-  // ...and the reconstruction still matches the in-process bytes exactly.
-  const std::vector<PipelineReport> in_process =
-      Collector::global().reports();
-  const std::vector<PipelineReport> offline = analyze_trace_file(trace_path);
-  ASSERT_EQ(in_process.size(), 1u);
-  ASSERT_EQ(offline.size(), 1u);
-  EXPECT_EQ(to_json(in_process[0]), to_json(offline[0]));
+  // ...and the reconstruction ignores them.
+  const std::vector<PipelineReport> combined =
+      analyze_trace_file(trace_path, sim_only);
+  ASSERT_EQ(plain.size(), 1u);
+  ASSERT_EQ(combined.size(), 1u);
+  EXPECT_EQ(sim_json(plain[0]), sim_json(combined[0]));
 
   // The single-job doctor is equally unperturbed by the new layers.
   const auto jobs = report::analyze_trace_file(trace_path);
   ASSERT_EQ(jobs.size(), 3u);
-  EXPECT_EQ(jobs[0].pipeline, in_process[0].id);
+  EXPECT_EQ(jobs[0].pipeline, combined[0].id);
 }
 
 TEST_F(PipelineDoctorTest, SimFactsAreStableAcrossThreadCounts) {
   const std::string one_path = ::testing::TempDir() + "/mrmc_pipe_t1.json";
   const std::string three_path = ::testing::TempDir() + "/mrmc_pipe_t3.json";
   run_sample(one_path, 1);
-  Collector::global().clear();
   Tracer::global().clear();
   run_sample(three_path, 3);
 
@@ -389,24 +384,15 @@ TEST_F(PipelineDoctorTest, SimFactsAreStableAcrossThreadCounts) {
 
   // The process-wide pipeline serial differs between the two runs; normalize
   // the ids, then demand byte-identical reports.
-  const auto normalize = [](PipelineReport& report) {
-    report.id = "normalized";
-    for (auto& stage : report.stages) stage.job.pipeline = "normalized";
-  };
-  normalize(one[0]);
-  normalize(three[0]);
-  EXPECT_EQ(to_json(one[0]), to_json(three[0]));
+  EXPECT_EQ(sim_json(one[0]), sim_json(three[0]));
 }
 
-TEST_F(PipelineDoctorTest, CollectorFlushWritesTheConfiguredFormat) {
+TEST_F(PipelineDoctorTest, SinkFlushWritesTheConfiguredFormat) {
   const std::string out_path = ::testing::TempDir() + "/mrmc_pipe_flush.json";
   run_sample(::testing::TempDir() + "/mrmc_pipe_flush_trace.json");
-  Collector::global().set_output_path(out_path);
-  ASSERT_TRUE(Collector::global().flush());
-  std::ifstream in(out_path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  const auto parsed = common::parse_json(text.str());
+  ReportSink::global().set_pipeline_path(out_path);
+  ASSERT_TRUE(ReportSink::global().flush());
+  const auto parsed = common::parse_json(read_file(out_path));
   ASSERT_EQ(parsed.at("pipelines").array.size(), 1u);
   EXPECT_EQ(parsed.at("pipelines").array[0].at("stages").array.size(), 3u);
 }
@@ -417,20 +403,46 @@ TEST_F(PipelineDoctorTest, CliPipelineModeReproducesTheInProcessReport) {
       ::testing::TempDir() + "/mrmc_pipeline_cli_trace.json";
   const std::string out_path =
       ::testing::TempDir() + "/mrmc_pipeline_cli_report.json";
+  const std::string sink_path =
+      ::testing::TempDir() + "/mrmc_pipeline_sink_report.json";
   run_sample(trace_path);
+  ReportSink::global().set_pipeline_path(sink_path);
+  ASSERT_TRUE(ReportSink::global().flush());
 
   const std::string command = std::string(MRMC_DOCTOR_BIN) + " pipeline " +
                               trace_path + " --format=json -o " + out_path;
   ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  EXPECT_EQ(read_file(out_path), read_file(sink_path));
+}
 
-  std::ifstream in(out_path);
-  std::ostringstream cli_text;
-  cli_text << in.rdbuf();
-  const std::vector<PipelineReport> in_process =
-      Collector::global().reports();
-  ASSERT_EQ(in_process.size(), 1u);
-  const std::vector<PipelineReport> all = in_process;
-  EXPECT_EQ(cli_text.str(), to_json(std::span<const PipelineReport>(all)));
+TEST_F(PipelineDoctorTest, PigAlgorithm3WritesTheConfiguredPipelineReport) {
+  // run_algorithm3 is a pipeline boundary: it must flush MRMC_PIPELINE, and
+  // the file must be what `mrmc_doctor pipeline` prints for its trace.
+  const std::string trace_path = ::testing::TempDir() + "/mrmc_pig_trace.json";
+  const std::string report_path =
+      ::testing::TempDir() + "/mrmc_pig_pipeline.txt";
+  const std::string cli_path = ::testing::TempDir() + "/mrmc_pig_cli.txt";
+  std::remove(report_path.c_str());
+  Tracer::global().set_output_path(trace_path);
+  ReportSink::global().set_pipeline_path(report_path);
+
+  const auto sample = simdata::build_whole_metagenome(
+      simdata::whole_metagenome_spec("S8"), {.reads = 30, .seed = 5});
+  mr::SimDfs dfs({.nodes = 4, .block_size = 4096});
+  dfs.write("/input.fa", bio::write_fasta_string(sample.reads));
+  pig::Algorithm3Params params;
+  params.kmer = 5;
+  params.num_hashes = 32;
+  params.cutoff = 0.45;
+  (void)pig::run_algorithm3(dfs, "/input.fa", "/h", "/g", params);
+
+  const std::string written = read_file(report_path);
+  ASSERT_FALSE(written.empty()) << report_path << " was not written";
+  EXPECT_NE(written.find("pipeline \"algorithm3#"), std::string::npos);
+  const std::string command = std::string(MRMC_DOCTOR_BIN) + " pipeline " +
+                              trace_path + " -o " + cli_path;
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  EXPECT_EQ(written, read_file(cli_path));
 }
 
 TEST_F(PipelineDoctorTest, CliJobsAndJobSelectorsBehave) {

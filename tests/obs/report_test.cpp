@@ -1,11 +1,13 @@
 // Tests for the job doctor (obs::report): the analyzer's critical-path
 // arithmetic and findings heuristics, the golden straggler detection on a
-// deterministic seeded Job timeline, and the exactness claim that the
-// offline (trace file / mrmc_doctor CLI) report is bit-identical to the
-// in-process one.
+// deterministic seeded Job timeline, the exactness claim that the report
+// reconstructed from a trace (file, mrmc_doctor CLI, or MRMC_REPORT sink)
+// is bit-identical to one built straight from the JobTimeline, and the
+// trace decoder's rejection of malformed events.
 #include "obs/report.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -17,6 +19,7 @@
 #include "common/mini_json.hpp"
 #include "mr/cluster.hpp"
 #include "mr/job.hpp"
+#include "obs/pipeline.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 
@@ -145,10 +148,12 @@ TEST(Renderers, TextJsonAndHtmlTellTheSameStory) {
   EXPECT_TRUE(straggler_in_json);
 
   const std::vector<JobReport> reports{report};
-  const std::string html = obs::report::to_html(reports);
+  const std::vector<JobInput> inputs{input};
+  const std::string html = obs::report::to_html(reports, inputs);
   EXPECT_NE(html.find("<svg"), std::string::npos);  // critical-path visuals
   EXPECT_NE(html.find("render &lt;job&gt; &amp; escape"), std::string::npos);
   EXPECT_EQ(html.find("<job>"), std::string::npos);  // name was escaped
+  EXPECT_NE(html.find("<h3>schedule</h3>"), std::string::npos);  // Gantt
 }
 
 // ---------------------------------------------------------------- golden
@@ -381,26 +386,35 @@ TEST_F(DoctorRoundTripTest, CliBinaryReproducesTheInProcessReport) {
 }
 #endif  // MRMC_DOCTOR_BIN
 
-// -------------------------------------------------------------- collector
+// ------------------------------------------------------------ report sink
 
-TEST(Collector, FlushWritesTheFormatTheExtensionAsksFor) {
-  auto& collector = obs::report::Collector::global();
-  collector.clear();
-  collector.set_enabled(true);
-  collector.add(two_node_input());
-
+TEST(ReportSink, FlushWritesTheFormatTheExtensionAsksFor) {
+  auto& tracer = obs::Tracer::global();
+  tracer.set_enabled(false);
+  tracer.clear();
+  auto& sink = obs::pipeline::ReportSink::global();
   const std::string html_path = ::testing::TempDir() + "/mrmc_report.html";
-  collector.set_output_path(html_path);
-  ASSERT_TRUE(collector.flush());
+  sink.set_report_path(html_path);
+  EXPECT_TRUE(tracer.enabled());  // a report path keeps events in memory
+
+  mr::ClusterConfig config;
+  config.nodes = 2;
+  const mr::SimScheduler scheduler(config);
+  const std::vector<mr::TaskSpec> maps(4, {30.0, 1e6, 1e5, -1});
+  const std::vector<mr::TaskSpec> reduces(2, {20.0, 1e6, 1e5, -1});
+  (void)simulate_job(scheduler, maps, 1e6, reduces, "unit");
+
+  ASSERT_TRUE(sink.flush());
   std::ifstream html_in(html_path);
   std::ostringstream html;
   html << html_in.rdbuf();
   EXPECT_NE(html.str().find("<svg"), std::string::npos);
+  EXPECT_NE(html.str().find("<h3>schedule</h3>"), std::string::npos);
   EXPECT_NE(html.str().find("unit"), std::string::npos);
 
   const std::string json_path = ::testing::TempDir() + "/mrmc_report.json";
-  collector.set_output_path(json_path);
-  ASSERT_TRUE(collector.flush());
+  sink.set_report_path(json_path);
+  ASSERT_TRUE(sink.flush());
   std::ifstream json_in(json_path);
   std::ostringstream json;
   json << json_in.rdbuf();
@@ -408,10 +422,90 @@ TEST(Collector, FlushWritesTheFormatTheExtensionAsksFor) {
   ASSERT_EQ(root.at("jobs").array.size(), 1u);
   EXPECT_EQ(root.at("jobs").array[0].at("name").string, "unit");
 
-  collector.clear();
-  collector.set_enabled(false);
-  collector.set_output_path("");
-  EXPECT_FALSE(collector.flush());  // nothing to write once cleared
+  tracer.clear();
+  EXPECT_FALSE(sink.flush());  // no jobs in the trace: nothing written
+  sink.set_report_path("");
+  tracer.set_enabled(false);
+}
+
+// ---------------------------------------------------------- trace intake
+
+/// A one-job trace whose events are spliced in from `events` (JSON objects
+/// separated by commas), after a well-formed process_name event.
+std::string trace_with(const std::string& events) {
+  return "{\"traceEvents\": [\n"
+         "{\"name\": \"process_name\", \"cat\": \"meta\", \"ph\": \"M\", "
+         "\"pid\": 2, \"tid\": 0, \"args\": {\"name\": \"sim: probe\"}},\n" +
+         events + "\n]}\n";
+}
+
+std::string map_task_event(const std::string& pid, const std::string& end_s) {
+  return "{\"name\": \"map 0\", \"cat\": \"sim\", \"ph\": \"X\", \"pid\": " +
+         pid +
+         ", \"tid\": 0, \"ts\": 0, \"dur\": 1, \"args\": {\"phase\": \"map\", "
+         "\"task\": \"0\", \"start_s\": \"0\", \"end_s\": \"" +
+         end_s + "\"}}";
+}
+
+/// The decoder, and mrmc_doctor on the same bytes, must reject `trace` with
+/// a message containing `field`.
+void expect_rejected(const std::string& trace, const std::string& field,
+                     const std::string& tag) {
+  try {
+    (void)obs::report::jobs_from_trace(common::parse_json(trace));
+    ADD_FAILURE() << tag << ": jobs_from_trace accepted the trace";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << tag << ": " << error.what();
+  }
+#ifdef MRMC_DOCTOR_BIN
+  const std::string trace_path =
+      ::testing::TempDir() + "/mrmc_probe_" + tag + ".json";
+  const std::string err_path =
+      ::testing::TempDir() + "/mrmc_probe_" + tag + ".err";
+  std::ofstream(trace_path) << trace;
+  for (const char* mode : {"", "pipeline "}) {
+    const std::string command = std::string(MRMC_DOCTOR_BIN) + " " + mode +
+                                trace_path + " > /dev/null 2> " + err_path;
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << command;
+    std::ifstream err_in(err_path);
+    std::ostringstream err;
+    err << err_in.rdbuf();
+    EXPECT_NE(err.str().find(field), std::string::npos)
+        << command << ": " << err.str();
+  }
+#endif  // MRMC_DOCTOR_BIN
+}
+
+TEST(TraceIntake, RejectsATrackNodeBeyondTheNodeLimit) {
+  expect_rejected(
+      trace_with("{\"name\": \"thread_name\", \"cat\": \"meta\", \"ph\": "
+                 "\"M\", \"pid\": 2, \"tid\": 0, \"args\": {\"name\": "
+                 "\"node 2000000000 map slot 0\"}},\n" +
+                 map_task_event("2", "1")),
+      "node 2000000000", "track_node");
+}
+
+TEST(TraceIntake, RejectsANodeCountBeyondTheNodeLimit) {
+  expect_rejected(
+      trace_with("{\"name\": \"job_config\", \"cat\": \"sim\", \"ph\": \"i\", "
+                 "\"pid\": 2, \"tid\": 0, \"ts\": 0, \"args\": {\"nodes\": "
+                 "\"1e19\", \"map_slots_per_node\": \"1\", "
+                 "\"reduce_slots_per_node\": \"1\", \"job_startup_s\": "
+                 "\"0\"}},\n" +
+                 map_task_event("2", "1")),
+      "args.nodes", "node_count");
+}
+
+TEST(TraceIntake, RejectsAnOutOfRangePidAndANonFiniteTime) {
+  expect_rejected(trace_with(map_task_event("1e30", "nan")), "pid",
+                  "huge_pid");
+  expect_rejected(trace_with(map_task_event("2", "nan")), "args.end_s",
+                  "nan_end");
+  expect_rejected(trace_with(map_task_event("2.5", "1")), "pid",
+                  "fractional_pid");
 }
 
 }  // namespace
