@@ -83,6 +83,10 @@ LshBucketIndex::LshBucketIndex(std::size_t sketch_size, BandShape shape,
 void LshBucketIndex::insert(int id, std::span<const std::uint64_t> sketch) {
   MRMC_REQUIRE(sketch.size() == shape_.bands * shape_.rows,
                "sketch length mismatch");
+  MRMC_REQUIRE(id >= 0, "bucket ids must be non-negative");
+  if (static_cast<std::size_t>(id) >= stamp_.size()) {
+    stamp_.resize(static_cast<std::size_t>(id) + 1, 0);
+  }
   for (std::size_t band = 0; band < shape_.bands; ++band) {
     buckets_[band][band_bucket_key(sketch, band, shape_, seed_)].push_back(id);
   }
@@ -90,18 +94,20 @@ void LshBucketIndex::insert(int id, std::span<const std::uint64_t> sketch) {
 }
 
 std::vector<int> LshBucketIndex::candidates(
-    std::span<const std::uint64_t> sketch) const {
+    std::span<const std::uint64_t> sketch) {
   MRMC_REQUIRE(sketch.size() == shape_.bands * shape_.rows,
                "sketch length mismatch");
+  ++query_;  // stamps start at 0, so the first query is 1
   std::vector<int> out;
   for (std::size_t band = 0; band < shape_.bands; ++band) {
     const auto it =
         buckets_[band].find(band_bucket_key(sketch, band, shape_, seed_));
     if (it == buckets_[band].end()) continue;
     for (const int id : it->second) {
-      if (std::find(out.begin(), out.end(), id) == out.end()) {
-        out.push_back(id);
-      }
+      std::size_t& stamp = stamp_[static_cast<std::size_t>(id)];
+      if (stamp == query_) continue;
+      stamp = query_;
+      out.push_back(id);
     }
   }
   return out;
@@ -175,6 +181,24 @@ std::vector<Pair> enumerate_pairs(const kernels::SketchMatrix& sketches,
   return lsh_pairs(sketches, shape, params.seed, pool);
 }
 
+PairScorer::PairScorer(const kernels::SketchMatrix& sketches,
+                       SketchEstimator estimator)
+    : sketches_(sketches),
+      set_based_(estimator == SketchEstimator::kSetBased),
+      store_(set_based_ ? SortedSketchStore(sketches) : SortedSketchStore()),
+      // Multiply-by-reciprocal, exactly as kernels::component_match_matrix
+      // does, so exact-backend graphs match the dense matrix to the last bit.
+      inv_cols_(sketches.cols() == 0
+                    ? 0.0
+                    : 1.0 / static_cast<double>(sketches.cols())) {}
+
+double PairScorer::operator()(std::size_t a, std::size_t b) const noexcept {
+  if (set_based_) return store_.jaccard(a, b);
+  return static_cast<double>(
+             kernels::count_equal(sketches_.row(a), sketches_.row(b))) *
+         inv_cols_;
+}
+
 SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,
                                    std::span<const Pair> pairs,
                                    SketchEstimator estimator,
@@ -183,25 +207,11 @@ SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,
   graph.num_vertices = sketches.rows();
   graph.edges.resize(pairs.size());
 
-  const bool set_based = estimator == SketchEstimator::kSetBased;
-  const SortedSketchStore store =
-      set_based ? SortedSketchStore(sketches) : SortedSketchStore();
-  // Multiply-by-reciprocal, exactly as kernels::component_match_matrix does,
-  // so exact-backend graphs match the dense matrix to the last bit.
-  const double inv_cols =
-      sketches.cols() == 0 ? 0.0 : 1.0 / static_cast<double>(sketches.cols());
+  const PairScorer similarity(sketches, estimator);
   auto score = [&](std::size_t p) {
     const auto [a, b] = pairs[p];
     MRMC_REQUIRE(a < b && b < sketches.rows(), "candidate pair out of range");
-    double sim = 0.0;
-    if (set_based) {
-      sim = store.jaccard(a, b);
-    } else {
-      sim = static_cast<double>(
-                kernels::count_equal(sketches.row(a), sketches.row(b))) *
-            inv_cols;
-    }
-    graph.edges[p] = Edge{a, b, sim};
+    graph.edges[p] = Edge{a, b, similarity(a, b)};
   };
   if (pool != nullptr) {
     pool->parallel_for(pairs.size(), score);

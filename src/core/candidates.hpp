@@ -14,10 +14,12 @@
 //     all-pairs is quadratic (bench/ablation_lsh_index).
 //
 // Candidates are then *verified*: every pair is scored with the batched
-// sketch kernels (count_equal / SortedSketchStore) into a
-// SparseSimilarityGraph that greedy (greedy_cluster_graph), hierarchical
-// (similarity_matrix_from_graph), and pig's CalculatePairwiseSimilarity all
-// consume.  The S-curve / band-shape math lives here and only here.
+// sketch kernels (PairScorer: count_equal / SortedSketchStore) into a
+// SparseSimilarityGraph that hierarchical (similarity_matrix_from_graph),
+// pig's CalculatePairwiseSimilarity and greedy_cluster_graph consume.  The
+// pipeline's greedy mode skips the pair list: its LSH sweep
+// (core/greedy) probes the same band buckets for representatives only.
+// The S-curve / band-shape math lives here and only here.
 //
 // Everything in this header is deterministic: candidate sets and edge lists
 // are sorted and deduplicated, so they are byte-identical across thread
@@ -112,12 +114,14 @@ class LshBucketIndex {
   [[nodiscard]] std::size_t bands() const noexcept { return shape_.bands; }
   [[nodiscard]] std::size_t rows() const noexcept { return shape_.rows; }
 
+  /// `id` must be >= 0.
   void insert(int id, std::span<const std::uint64_t> sketch);
 
   /// All ids sharing at least one band bucket with `sketch`, deduplicated,
-  /// in insertion order.
+  /// in band order, then insertion order within a bucket.  Not const: a
+  /// per-id stamp array, reused across queries, does the deduplication.
   [[nodiscard]] std::vector<int> candidates(
-      std::span<const std::uint64_t> sketch) const;
+      std::span<const std::uint64_t> sketch);
 
   [[nodiscard]] std::size_t size() const noexcept { return inserted_; }
 
@@ -126,6 +130,8 @@ class LshBucketIndex {
   std::uint64_t seed_;
   std::size_t inserted_ = 0;
   std::vector<std::unordered_map<std::uint64_t, std::vector<int>>> buckets_;
+  std::vector<std::size_t> stamp_;  ///< stamp_[id] == query_: id already out
+  std::size_t query_ = 0;
 };
 
 /// Enumerate candidate pairs for the whole sketch matrix under `params`:
@@ -159,9 +165,27 @@ struct SparseSimilarityGraph {
   std::vector<Edge> edges;
 };
 
-/// Score every candidate pair with the sketch kernels.  Pairs must be
-/// sorted unique (enumerate_pairs output); edges come back in the same
-/// order.  Bit-identical at any pool size and under scalar or AVX2 kernel
+/// The similarity of sketch rows (a, b), a < b, under `estimator`: the one
+/// copy of the arithmetic verify_pairs and the LSH greedy sweep share, so
+/// their threshold decisions agree bit for bit.  Component-match is
+/// count_equal · (1/cols), the reciprocal multiply of
+/// kernels::component_match_matrix; set-based is SortedSketchStore::jaccard.
+class PairScorer {
+ public:
+  PairScorer(const kernels::SketchMatrix& sketches, SketchEstimator estimator);
+
+  [[nodiscard]] double operator()(std::size_t a, std::size_t b) const noexcept;
+
+ private:
+  const kernels::SketchMatrix& sketches_;
+  bool set_based_;
+  SortedSketchStore store_;  ///< set-based only
+  double inv_cols_;
+};
+
+/// Score every candidate pair with the sketch kernels (PairScorer).  Pairs
+/// must be sorted unique (enumerate_pairs output); edges come back in the
+/// same order.  Bit-identical at any pool size and under scalar or AVX2 kernel
 /// dispatch.
 [[nodiscard]] SparseSimilarityGraph verify_pairs(
     const kernels::SketchMatrix& sketches, std::span<const Pair> pairs,

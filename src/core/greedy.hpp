@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/candidates.hpp"
 #include "core/minhash.hpp"
 
@@ -45,5 +46,24 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
 /// were fixed at verification time.
 GreedyResult greedy_cluster_graph(const candidates::SparseSimilarityGraph& graph,
                                   const GreedyParams& params);
+
+/// Algorithm 1 with LSH-banded candidates, comparing each read only with
+/// the representatives that share one of its band buckets (the pipeline's
+/// greedy + kLshBanded path).  Band keys come from
+/// candidates::band_bucket_key under the shape `lsh` resolves at
+/// `band_theta` (computed on `pool` when given); one sort turns them into
+/// dense bucket ids.  The sweep then visits reads in order: read j scores
+/// the earlier representatives in its buckets and joins the smallest-id one
+/// with similarity >= params.theta (candidates::PairScorer arithmetic), or
+/// becomes a representative and enters its buckets.  Labels,
+/// representatives and cluster count are identical to
+/// greedy_cluster_graph(verify_pairs(enumerate_pairs(sketches, lsh,
+/// band_theta), params.estimator), params); `comparisons` counts the
+/// (representative, read) pairs scored.  No candidate pair list or graph
+/// is built.
+GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
+                            const GreedyParams& params,
+                            const candidates::Params& lsh, double band_theta,
+                            common::ThreadPool* pool = nullptr);
 
 }  // namespace mrmc::core

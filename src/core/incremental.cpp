@@ -4,6 +4,7 @@
 
 #include "bio/kmer.hpp"
 #include "common/error.hpp"
+#include "core/kernels.hpp"
 
 namespace mrmc::core {
 
@@ -32,13 +33,22 @@ int IncrementalClusterer::add(std::string_view seq) {
   const bool set_based = greedy_.estimator == SketchEstimator::kSetBased;
   const Sketch sorted = set_based ? sorted_unique(sketch) : Sketch{};
 
+  // Algorithm 1's join rule, as greedy_cluster's LSH sweep applies it: the
+  // smallest-id representative with similarity >= θ, scored with
+  // candidates::PairScorer's arithmetic (count_equal · (1/K) or the sorted
+  // Jaccard).
+  std::vector<int> candidates = index_.candidates(sketch);
+  std::sort(candidates.begin(), candidates.end());
+  const double inv_cols = 1.0 / static_cast<double>(sketch.size());
   int assigned = -1;
-  for (const int cluster : index_.candidates(sketch)) {
+  for (const int cluster : candidates) {
     ++comparisons_;
     const double similarity =
         set_based
             ? bio::exact_jaccard(sorted_representatives_[cluster], sorted)
-            : component_match_similarity(representatives_[cluster], sketch);
+            : static_cast<double>(kernels::count_equal(
+                  representatives_[cluster], sketch)) *
+                  inv_cols;
     if (similarity >= greedy_.theta) {
       assigned = cluster;
       break;

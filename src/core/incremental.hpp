@@ -3,7 +3,10 @@
 // where samples arrive sequencing-run by sequencing-run.  New reads are
 // matched against existing cluster representatives through a banded LSH
 // bucket index over the representatives only (greedy semantics, single
-// pass); unmatched reads found new clusters.
+// pass): a read joins the smallest-id representative in its buckets with
+// similarity >= θ, or founds a new cluster.  Over a fresh clusterer,
+// add_all therefore labels reads exactly as the pipeline's greedy +
+// kLshBanded path does at the same explicit band count.
 #pragma once
 
 #include <span>

@@ -340,15 +340,30 @@ SimilarityMatrix run_similarity_job(
   return matrix;
 }
 
+/// The whole-input cluster step: returns the labels and records named
+/// counters, which the executor reports — into obs::Registry in-process,
+/// through the reducer's ReduceContext in the job — under the same names.
+using ClusterStep = std::function<std::vector<int>(mr::Counters&)>;
+
+std::vector<int> run_cluster_inline(const ClusterStep& cluster) {
+  mr::Counters counters;
+  std::vector<int> labels = cluster(counters);
+  for (const auto& [name, delta] : counters) {
+    obs::Registry::global().counter(name).add(delta);
+  }
+  return labels;
+}
+
 /// Job 3: GROUP ALL -> one reducer runs the whole-input cluster step
 /// (Algorithm 3, steps 8-9): Algorithm 1's greedy sweep, or the dendrogram
 /// build + θ-cut.  `cluster` is the exact closure the local executor calls
 /// inline; the job only changes where it runs and what it costs.
+/// `reduce_work` is read after the reducer ran, so it may depend on what
+/// the cluster step did.
 std::vector<int> run_cluster_job(
-    const std::string& name, std::size_t n,
-    const std::function<std::vector<int>()>& cluster, double reduce_work,
-    std::size_t records_per_split, const ExecutionOptions& exec,
-    mr::JobStats& stats) {
+    const std::string& name, std::size_t n, const ClusterStep& cluster,
+    const std::function<double()>& reduce_work, std::size_t records_per_split,
+    const ExecutionOptions& exec, mr::JobStats& stats) {
   obs::pipeline::StageScope stage(name);
   using ClusterJob = mr::Job<std::uint32_t, int, std::uint32_t,
                              std::pair<std::uint32_t, int>>;
@@ -366,17 +381,21 @@ std::vector<int> run_cluster_job(
       [&cluster](const int&, std::vector<std::uint32_t>& indices,
                  std::vector<std::pair<std::uint32_t, int>>& out,
                  mr::ReduceContext& context) {
-        const std::vector<int> labels = cluster();
+        mr::Counters counters;
+        const std::vector<int> labels = cluster(counters);
         std::sort(indices.begin(), indices.end());
         for (const std::uint32_t index : indices) {
           out.emplace_back(index, labels[index]);
         }
         context.count("clusters.formed",
                       static_cast<long>(count_clusters(labels)));
+        for (const auto& [counter, delta] : counters) {
+          context.count(counter, delta);
+        }
       });
   job.with_map_work([](const std::uint32_t&) { return 1e-7; });  // emit only
   job.with_reduce_work(
-      [reduce_work](const int&, std::size_t) { return reduce_work; });
+      [&reduce_work](const int&, std::size_t) { return reduce_work(); });
 
   std::vector<std::uint32_t> input(n);
   for (std::size_t i = 0; i < n; ++i) input[i] = static_cast<std::uint32_t>(i);
@@ -532,6 +551,25 @@ std::uint64_t input_fingerprint(std::span<const bio::FastaRecord> reads) {
 
 // ---------------------------------------------------------- the stage list
 
+/// Whether a stage of the LSH backend that exhausted its retries may
+/// degrade to its exact counterpart (ExecutionOptions::lsh_fallback_max_reads).
+bool lsh_fallback_allowed(const ExecutionOptions& exec, std::size_t reads) {
+  return exec.lsh_fallback_max_reads != 0 &&
+         reads <= exec.lsh_fallback_max_reads;
+}
+
+void note_lsh_fallback(mr::recovery::StageDriver& driver,
+                       const std::string& stage, const char* to,
+                       std::size_t reads,
+                       const mr::recovery::RetryExhausted& error) {
+  driver.record_lsh_fallback(stage);
+  static const obs::Logger logger("core.pipeline");
+  logger.warn(stage + " stage degraded to " + to,
+              {{"reads", reads},
+               {"attempts", error.history().size()},
+               {"error", error.what()}});
+}
+
 /// Candidate enumeration under `backend_params`: the "candidates" job when
 /// distributed, candidates::enumerate_pairs in-process.  Both leave the
 /// same pairs and band shape ({0, 0} for the exact backend or < 2 reads).
@@ -553,8 +591,9 @@ CandidateJobResult enumerate_candidates(
   return local;
 }
 
-/// The LSH-banded front half: candidates -> verify.  Returns the verified
-/// graph; the candidate pairs die with this frame, before any cluster stage.
+/// The LSH-banded front half of hierarchical mode: candidates -> verify.
+/// Returns the verified graph; the candidate pairs die with this frame,
+/// before any cluster stage.
 candidates::SparseSimilarityGraph run_candidate_stages(
     const std::shared_ptr<const kernels::SketchMatrix>& sketches,
     const PipelineParams& params, const EffectiveKnobs& knobs,
@@ -572,20 +611,13 @@ candidates::SparseSimilarityGraph run_candidate_stages(
         encode_candidates, decode_candidates);
   } catch (const mr::recovery::RetryExhausted& error) {
     const std::size_t num_reads = sketches->rows();
-    if (exec.lsh_fallback_max_reads == 0 ||
-        num_reads > exec.lsh_fallback_max_reads) {
-      throw;
-    }
+    if (!lsh_fallback_allowed(exec, num_reads)) throw;
     // Graceful degradation: banded enumeration keeps failing, but the
     // input is small enough for the exact oracle — same pairs-at-θ
     // semantics at O(n^2) cost, computed driver-side (no MR job, hence
     // no lineage claim).
-    driver.record_lsh_fallback("candidates");
-    static const obs::Logger logger("core.pipeline");
-    logger.warn("candidates stage degraded to exact all-pairs",
-                {{"reads", num_reads},
-                 {"attempts", error.history().size()},
-                 {"error", error.what()}});
+    note_lsh_fallback(driver, "candidates", "exact all-pairs", num_reads,
+                      error);
     candidates::Params exact = params.candidates;
     exact.backend = candidates::Backend::kExactAllPairs;
     enumerated = driver.run_stage(
@@ -618,8 +650,9 @@ candidates::SparseSimilarityGraph run_candidate_stages(
 }
 
 /// The pipeline as one list of recovery-driver stages, run by both
-/// executors: sketch -> {candidates -> verify | similarity} -> cluster.
-/// Every stage computes `exec.distributed ? <its MapReduce job> : <the
+/// executors: sketch -> {similarity | candidates -> verify}? -> cluster
+/// (greedy + LSH goes straight from sketch to its cluster sweep).  Every
+/// stage computes `exec.distributed ? <its MapReduce job> : <the
 /// in-process core call>`; both produce identical values (and therefore
 /// identical checkpoint payloads).  Stage names are the lineage stage
 /// names; each checkpointed stage runs exactly one MapReduce job when
@@ -655,21 +688,16 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
           encode_sketches, decode_sketches));
   result.sim_total_s += result.sketch_stats.timeline.total_s;
 
-  std::shared_ptr<const candidates::SparseSimilarityGraph> graph;
-  if (params.candidates.backend == candidates::Backend::kLshBanded) {
-    graph = std::make_shared<const candidates::SparseSimilarityGraph>(
-        run_candidate_stages(sketches, params, knobs, exec, pool, driver,
-                             result));
-    result.candidate_pairs = graph->edges.size();
-  }
-
   // Hierarchical mode clusters a dense matrix: the similarity stage's, or
-  // the verified graph densified (freeing the graph before agglomerate).
+  // the verified LSH graph densified (freed before agglomerate).
   const bool greedy = params.mode == Mode::kGreedy;
+  const bool lsh = params.candidates.backend == candidates::Backend::kLshBanded;
   SimilarityMatrix matrix;
-  if (!greedy && graph != nullptr) {
-    matrix = similarity_matrix_from_graph(*graph);
-    graph.reset();
+  if (!greedy && lsh) {
+    const candidates::SparseSimilarityGraph graph = run_candidate_stages(
+        sketches, params, knobs, exec, pool, driver, result);
+    result.candidate_pairs = graph.edges.size();
+    matrix = similarity_matrix_from_graph(graph);
   } else if (!greedy) {
     matrix = driver.run_stage(
         "similarity",
@@ -685,41 +713,71 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
   }
 
   // The cluster step: called inline by the local executor, and by the
-  // single GROUP-ALL reducer when distributed.
+  // single GROUP-ALL reducer when distributed.  Greedy + LSH runs the
+  // representatives-only bucket sweep; band shape keeps the ORIGINAL theta
+  // (see EffectiveKnobs).  `banded` drops to false when that stage degrades
+  // to the exact sweep.
+  bool banded = greedy && lsh;
   const GreedyParams greedy_params{knobs.theta, knobs.estimator};
-  const std::function<std::vector<int>()> cluster = [&] {
+  std::size_t pairs_scored = 0;
+  const ClusterStep cluster = [&](mr::Counters& counters) {
     if (!greedy) {
       return cut_dendrogram(agglomerate(matrix, params.linkage), knobs.theta);
     }
-    return graph != nullptr ? greedy_cluster_graph(*graph, greedy_params).labels
-                            : greedy_cluster(*sketches, greedy_params).labels;
+    if (!banded) return greedy_cluster(*sketches, greedy_params).labels;
+    GreedyResult swept = greedy_cluster(*sketches, greedy_params,
+                                        params.candidates, params.theta, pool);
+    pairs_scored = swept.comparisons;
+    counters["greedy.pairs_scored"] += static_cast<long>(pairs_scored);
+    return std::move(swept.labels);
   };
-  // Simulated reducer cost.  The graph sweep is O(V + E): each edge is
-  // inspected at most once.  Exhaustive greedy comparisons are data
-  // dependent; model the observed ~N*sqrt(N) envelope.
+  // Simulated reducer cost, deterministic and read after the reducer ran.
+  // The bucket sweep makes n · bands bucket probes plus the comparisons it
+  // counted.  Exhaustive greedy comparisons are data dependent; model the
+  // observed ~N*sqrt(N) envelope.
   const auto vertices = static_cast<double>(n);
-  double reduce_work = cost::dendrogram_work(n);
-  if (greedy) {
+  const std::size_t bands =
+      banded ? candidates::resolve_band_shape(params.candidates,
+                                           params.minhash.num_hashes,
+                                           params.theta)
+                .bands
+          : 0;
+  const std::function<double()> reduce_work = [&] {
+    if (!greedy) return cost::dendrogram_work(n);
     const double comparisons =
-        graph != nullptr
-            ? vertices + static_cast<double>(graph->edges.size())
-            : vertices * std::max(1.0, std::sqrt(vertices));
-    reduce_work = comparisons * cost::compare_work(100);
-  }
+        banded ? vertices * static_cast<double>(bands) +
+                     static_cast<double>(pairs_scored)
+               : vertices * std::max(1.0, std::sqrt(vertices));
+    return comparisons * cost::compare_work(100);
+  };
+  auto run_cluster_stage = [&](const std::string& stage) {
+    return driver.run_stage(
+        stage,
+        [&] {
+          return exec.distributed
+                     ? run_cluster_job(stage, n, cluster, reduce_work,
+                                       greedy ? exec.records_per_split
+                                              : std::max<std::size_t>(1, n / 8),
+                                       exec, result.cluster_stats)
+                     : run_cluster_inline(cluster);
+        },
+        encode_labels, decode_labels);
+  };
   const std::string cluster_stage =
       greedy ? "greedy-cluster" : "hierarchical-cluster";
-  result.labels = driver.run_stage(
-      cluster_stage,
-      [&] {
-        return exec.distributed
-                   ? run_cluster_job(cluster_stage, n, cluster, reduce_work,
-                                     greedy ? exec.records_per_split
-                                            : std::max<std::size_t>(1, n / 8),
-                                     exec, result.cluster_stats)
-                   : cluster();
-      },
-      encode_labels, decode_labels);
+  try {
+    result.labels = run_cluster_stage(cluster_stage);
+  } catch (const mr::recovery::RetryExhausted& error) {
+    if (!banded || !lsh_fallback_allowed(exec, n)) throw;
+    // Graceful degradation, as for hierarchical's candidates stage: the
+    // exact sweep clusters with the same θ semantics at O(N · clusters)
+    // cost.
+    note_lsh_fallback(driver, cluster_stage, "exact greedy", n, error);
+    banded = false;
+    result.labels = run_cluster_stage(cluster_stage + "-exact-fallback");
+  }
   result.sim_total_s += result.cluster_stats.timeline.total_s;
+  if (banded) result.candidate_pairs = pairs_scored;
 }
 
 }  // namespace

@@ -8,21 +8,28 @@
 // checkpoints, the retry policy, the MRMC_CRASH_AFTER_STAGE /
 // MRMC_FAIL_STAGE hooks and the LSH -> exact fallback apply to either
 // executor, and a run crashed on one resumes on the other.  The stage
-// sequence depends on the candidate backend (PipelineParams::candidates):
+// sequence depends on the mode and the candidate backend
+// (PipelineParams::candidates):
 //
 //   "sketch"       map: read -> (read_index, sketch)        [always; map-heavy]
-//   -- exact all-pairs backend (the paper's shape, the default) --
-//   "similarity"   map: row  -> (row, sims[row+1..N))       [hierarchical only;
-//                   the paper's row-wise partition of the matrix]
-//   -- LSH-banded backend --
+//   -- hierarchical, exact all-pairs backend (the paper's shape) --
+//   "similarity"   map: row  -> (row, sims[row+1..N))       [the paper's
+//                   row-wise partition of the matrix]
+//   -- hierarchical, LSH-banded backend --
 //   "candidates"   map: (read, sketch) -> per-band (bucket_key, read);
 //                   GROUP on bucket; reduce emits candidate pairs
 //   "verify"       map: (a, b) -> ((a, b), kernel-scored similarity)
-//                   -> sparse similarity graph
-//   -- either backend --
-//   "…-cluster"    GROUP ALL -> single reducer runs Algorithm 1 (greedy,
-//                   graph-aware under LSH) or the dendrogram build + θ-cut
-//                   (Algorithm 3, steps 6-9)
+//                   -> sparse similarity graph, densified for the cut
+//   -- every shape --
+//   "…-cluster"    GROUP ALL -> single reducer runs Algorithm 1 (greedy)
+//                   or the dendrogram build + θ-cut (Algorithm 3,
+//                   steps 6-9)
+//
+// Greedy mode is always sketch -> greedy-cluster.  Under the LSH backend
+// its reducer runs the representatives-only bucket sweep
+// (greedy_cluster(sketches, params, lsh, band_theta)): each read is scored
+// against the earlier representatives sharing one of its band buckets, so
+// no candidate-pair list or similarity graph is ever built.
 //
 // Simulated job timelines accumulate into PipelineResult::sim_total_s, the
 // number the paper's Table III/V "Time" columns report (0 for local runs).
@@ -54,8 +61,9 @@ struct PipelineParams {
   SketchEstimator estimator = SketchEstimator::kComponentMatch;
   SketchEstimator greedy_estimator = SketchEstimator::kSetBased;
   /// Pair-enumeration backend.  The exact default keeps the paper's job
-  /// shapes (and bit-for-bit outputs); kLshBanded swaps in the
-  /// candidates + verify jobs and sparse-graph clustering.
+  /// shapes (and bit-for-bit outputs); kLshBanded swaps in the bucket sweep
+  /// (greedy) or the candidates + verify jobs and sparse-graph densifying
+  /// (hierarchical).
   candidates::Params candidates{};
   /// b-bit sketches: keep only the low `sketch_bits` of every minwise value
   /// (∈ {1, 2, 4, 8, 16, 32, 64}).  64 (default) is today's full-width
@@ -101,10 +109,13 @@ struct ExecutionOptions {
   /// stay empty (their jobs never ran), so sim_total_s covers only the
   /// stages computed in *this* process.
   std::string checkpoint_dir;
-  /// Graceful degradation: when the LshBanded candidates stage exhausts its
-  /// retry budget and the input has at most this many reads, rerun pair
-  /// enumeration with the ExactAllPairs backend instead of failing the
-  /// pipeline.  0 disables the fallback.
+  /// Graceful degradation: when the LshBanded backend's first stage
+  /// exhausts its retry budget and the input has at most this many reads,
+  /// rerun that stage exactly instead of failing the pipeline — hierarchical
+  /// reruns "candidates" as ExactAllPairs enumeration
+  /// ("candidates-exact-fallback"), greedy reruns "greedy-cluster" as the
+  /// exact sweep ("greedy-cluster-exact-fallback").  0 disables the
+  /// fallback.
   std::size_t lsh_fallback_max_reads = 20000;
 };
 
@@ -115,10 +126,14 @@ struct PipelineResult {
   double sim_total_s = 0.0;  ///< simulated cluster time across all jobs
   mr::JobStats sketch_stats;
   mr::JobStats similarity_stats;  ///< hierarchical mode, exact backend only
-  mr::JobStats candidate_stats;   ///< LSH backend only
-  mr::JobStats verify_stats;      ///< LSH backend only
+  mr::JobStats candidate_stats;   ///< hierarchical mode, LSH backend only
+  mr::JobStats verify_stats;      ///< hierarchical mode, LSH backend only
   mr::JobStats cluster_stats;
-  std::size_t candidate_pairs = 0;  ///< scored pairs (LSH backend only)
+  /// Scored pairs, LSH backend only: verified candidate pairs
+  /// (hierarchical), or the (representative, read) pairs the greedy bucket
+  /// sweep scored — also counter `greedy.pairs_scored`.  0 when the stage
+  /// that scores them was served from checkpoint.
+  std::size_t candidate_pairs = 0;
   /// What the recovery stage driver did: checkpoint hits/misses/writes,
   /// retries, fallbacks — on either executor.
   mr::recovery::RecoveryStats recovery;

@@ -241,6 +241,9 @@ class Job {
     map_work_ = std::move(model);
     return *this;
   }
+  /// Deterministic per-group reduce work estimate (sim-time units), called
+  /// with the group's key and size right after the reducer has run on the
+  /// group, so a model may read what that reducer recorded.
   Job& with_reduce_work(ReduceWorkModel model) {
     reduce_work_ = std::move(model);
     return *this;
@@ -857,13 +860,14 @@ class Job {
         }
       }
       ++task.groups;
-      work += reduce_work_ ? reduce_work_(group_key, values.size())
-                           : 1e-6 * static_cast<double>(values.size());
+      const std::size_t group_size = values.size();
       if (context_reducer_) {
         context_reducer_(group_key, values, task.output, context);
       } else {
         reducer_(group_key, values, task.output);
       }
+      work += reduce_work_ ? reduce_work_(group_key, group_size)
+                           : 1e-6 * static_cast<double>(group_size);
     }
     task.counters = std::move(context.counters());
 

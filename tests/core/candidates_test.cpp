@@ -1,7 +1,8 @@
 // core::candidates — the pair-enumeration layer.  Covers the S-curve
 // properties, band-shape selection and validation, backend equivalence
-// (exact graphs reproduce the dense all-pairs matrix bit-for-bit and the
-// graph greedy sweep reproduces the exhaustive sweep), determinism of the
+// (exact graphs reproduce the dense all-pairs matrix bit-for-bit, the
+// graph greedy sweep reproduces the exhaustive sweep, and the LSH bucket
+// sweep reproduces the graph greedy over verified LSH pairs), determinism of the
 // candidate MapReduce job across thread counts / split sizes / fault plans /
 // kernel backends, and the recall harness in eval/.  Kept as its own binary
 // so the TSan leg can build and run it in isolation.
@@ -24,7 +25,9 @@
 #include "core/kernels.hpp"
 #include "core/pipeline.hpp"
 #include "eval/candidate_recall.hpp"
+#include "obs/metrics.hpp"
 #include "simdata/datasets.hpp"
+#include "simdata/marker16s.hpp"
 
 namespace mrmc::core {
 namespace {
@@ -325,6 +328,154 @@ TEST(GreedyClusterGraph, RejectsOutOfRangeEdges) {
                common::InvalidArgument);
 }
 
+// ------------------------------------------------------- LSH bucket sweep
+// greedy_cluster(sketches, params, lsh, band_theta) must reproduce the
+// composed oracle greedy_cluster_graph(verify_pairs(enumerate_pairs(...)))
+// exactly: labels, representatives and cluster count.
+
+/// 16S amplicon reads (80 bp, 1 % error) from `genes` genes of one fixed
+/// community; `seed` draws the reads.
+std::vector<bio::FastaRecord> amplicon_sample(std::size_t reads,
+                                              std::size_t genes,
+                                              std::uint64_t seed) {
+  const auto community = simdata::generate_16s_genes(genes, {}, 42);
+  simdata::AmpliconParams amplicon;
+  amplicon.errors = simdata::ErrorModel::uniform(0.01);
+  amplicon.read_length = 80;
+  return simdata::amplicon_reads(community,
+                                 std::vector<double>(community.size(), 1.0),
+                                 reads, amplicon, seed)
+      .reads;
+}
+
+kernels::SketchMatrix amplicon_sketches(std::size_t reads, std::uint64_t seed,
+                                        std::size_t bits = 64) {
+  const auto sample = amplicon_sample(reads, reads / 10, seed);
+  std::vector<std::string_view> seqs;
+  for (const auto& read : sample) seqs.emplace_back(read.seq);
+  auto sketches =
+      MinHasher({.kmer = 12, .num_hashes = 40, .seed = 42}).sketch_matrix(seqs);
+  if (bits < 64) kernels::mask_components(sketches, sketch_bits_mask(bits));
+  return sketches;
+}
+
+GreedyResult composed_lsh_greedy(const kernels::SketchMatrix& sketches,
+                                 const GreedyParams& params,
+                                 const candidates::Params& lsh,
+                                 double band_theta) {
+  const auto pairs = candidates::enumerate_pairs(sketches, lsh, band_theta);
+  return greedy_cluster_graph(
+      candidates::verify_pairs(sketches, pairs, params.estimator), params);
+}
+
+void expect_same_clustering(const GreedyResult& got,
+                            const GreedyResult& oracle) {
+  EXPECT_EQ(got.labels, oracle.labels);
+  EXPECT_EQ(got.representatives, oracle.representatives);
+  EXPECT_EQ(got.num_clusters, oracle.num_clusters);
+}
+
+TEST(GreedyBucketSweep, MatchesTheComposedGraphGreedy) {
+  common::ThreadPool one(1);
+  common::ThreadPool four(4);
+  const std::vector<common::ThreadPool*> pools = {nullptr, &one, &four};
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    for (const std::size_t bits : {std::size_t{64}, std::size_t{8}}) {
+      const auto sketches = amplicon_sketches(300, seed, bits);
+      for (const double theta : {0.25, 0.3, 0.4, 0.5, 0.9}) {
+        for (const auto estimator :
+             {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
+          // The pipeline's effective knobs: below 64 bits every estimator
+          // scores component matches against the b-bit adjusted θ, while
+          // the band shape keeps the original θ.
+          GreedyParams params{.theta = theta, .estimator = estimator};
+          if (bits < 64) {
+            const double component =
+                estimator == SketchEstimator::kSetBased
+                    ? set_based_equivalent_threshold(theta)
+                    : theta;
+            params = {.theta = bbit_adjusted_threshold(component, bits),
+                      .estimator = SketchEstimator::kComponentMatch};
+          }
+          // Automatic, 10 × 4, and the most sensitive 40 × 1.
+          for (const std::size_t bands :
+               {std::size_t{0}, std::size_t{10}, std::size_t{40}}) {
+            candidates::Params lsh;
+            lsh.backend = candidates::Backend::kLshBanded;
+            lsh.bands = bands;
+            const auto oracle = composed_lsh_greedy(sketches, params, lsh, theta);
+            for (common::ThreadPool* pool : pools) {
+              SCOPED_TRACE(::testing::Message()
+                           << "seed=" << seed << " bits=" << bits
+                           << " theta=" << theta << " set_based="
+                           << (estimator == SketchEstimator::kSetBased)
+                           << " bands=" << bands << " threads="
+                           << (pool == nullptr ? 0 : pool->size()));
+              expect_same_clustering(
+                  greedy_cluster(sketches, params, lsh, theta, pool), oracle);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GreedyBucketSweep, TinyInputsMatchTheOracle) {
+  const auto sketches = amplicon_sketches(40, 7);
+  candidates::Params lsh;
+  lsh.backend = candidates::Backend::kLshBanded;
+  common::ThreadPool pool(4);
+  for (const std::size_t n : {0, 1, 2}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    kernels::SketchMatrix head(n, sketches.cols());
+    for (std::size_t i = 0; i < n; ++i) {
+      std::copy(sketches.row(i).begin(), sketches.row(i).end(),
+                head.row(i).begin());
+    }
+    for (const double theta : {0.0, 0.3}) {
+      const GreedyParams params{.theta = theta,
+                                .estimator = SketchEstimator::kComponentMatch};
+      const auto oracle = composed_lsh_greedy(head, params, lsh, theta);
+      expect_same_clustering(greedy_cluster(head, params, lsh, theta), oracle);
+      expect_same_clustering(greedy_cluster(head, params, lsh, theta, &pool),
+                             oracle);
+      EXPECT_EQ(oracle.labels.size(), n);
+    }
+  }
+}
+
+TEST(GreedyBucketSweep, ScoresFarFewerPairsThanEnumerateAtTheta03) {
+  // Deterministic selectivity gate on a fixed 2 k-read amplicon input at
+  // θ = 0.3, below the band-shape cliff: the pipeline's sweep scores at most
+  // a fifth of the pairs LSH enumeration proposes, with identical labels.
+  const auto reads = amplicon_sample(2000, 200, 1);
+  PipelineParams params;
+  params.minhash = {.kmer = 12, .num_hashes = 40, .seed = 42};
+  params.mode = Mode::kGreedy;
+  params.theta = 0.3;
+  params.greedy_estimator = SketchEstimator::kComponentMatch;
+  params.candidates.backend = candidates::Backend::kLshBanded;
+  ExecutionOptions local;
+  local.distributed = false;
+  local.threads = 2;
+  const auto result = run_pipeline(reads, params, local);
+
+  std::vector<std::string_view> seqs;
+  for (const auto& read : reads) seqs.emplace_back(read.seq);
+  const auto sketches = MinHasher(params.minhash).sketch_matrix(seqs);
+  const auto enumerated =
+      candidates::enumerate_pairs(sketches, params.candidates, params.theta);
+  ASSERT_GT(result.candidate_pairs, 0u);
+  EXPECT_LE(result.candidate_pairs * 5, enumerated.size());
+  const GreedyParams greedy{params.theta, params.greedy_estimator};
+  EXPECT_EQ(result.labels,
+            greedy_cluster_graph(
+                candidates::verify_pairs(sketches, enumerated, greedy.estimator),
+                greedy)
+                .labels);
+}
+
 // ----------------------------------------------------- the MapReduce shape
 
 class CandidateJobTest : public ::testing::Test {
@@ -451,9 +602,54 @@ TEST_F(LshPipelineTest, DistributedMatchesLocalInBothModes) {
     const auto b = run_pipeline(reads, params, local);
     EXPECT_EQ(a.labels, b.labels) << mode_name(mode);
     EXPECT_EQ(a.num_clusters, b.num_clusters);
-    EXPECT_GT(a.candidate_stats.input_records, 0u);
-    EXPECT_GT(a.verify_stats.input_records, 0u);
+    // Only hierarchical mode runs the candidate and verify jobs; greedy
+    // scores bucket-mates inside its cluster job.  Both report the pairs
+    // they scored, identically on either executor.
+    const bool hierarchical = mode == Mode::kHierarchical;
+    EXPECT_EQ(a.candidate_stats.input_records > 0, hierarchical);
+    EXPECT_EQ(a.verify_stats.input_records > 0, hierarchical);
     EXPECT_GT(a.candidate_pairs, 0u);
+    EXPECT_EQ(a.candidate_pairs, b.candidate_pairs);
+  }
+}
+
+TEST_F(LshPipelineTest, GreedySweepLocalMatchesDistributedAndCountsPairs) {
+  // Greedy + LSH runs sketch -> greedy-cluster on both executors: the same
+  // labels, the same scored pairs (PipelineResult::candidate_pairs and
+  // counter greedy.pairs_scored), and a deterministic simulated reducer cost.
+  const auto reads = sample_reads();
+  for (const std::size_t bits : {std::size_t{64}, std::size_t{8}}) {
+    SCOPED_TRACE("bits=" + std::to_string(bits));
+    auto params = lsh_pipeline_params(Mode::kGreedy);
+    params.sketch_bits = bits;
+    ExecutionOptions local;
+    local.distributed = false;
+    auto& local_counter =
+        obs::Registry::global().counter("greedy.pairs_scored");
+    const long before = local_counter.value();
+    const auto in_process = run_pipeline(reads, params, local);
+    EXPECT_EQ(local_counter.value() - before,
+              static_cast<long>(in_process.candidate_pairs));
+    EXPECT_GT(in_process.candidate_pairs, 0u);
+
+    for (const std::size_t threads : {1, 3}) {
+      ExecutionOptions distributed;
+      distributed.threads = threads;
+      distributed.cluster.nodes = 4;
+      distributed.records_per_split = 16;
+      const auto job = run_pipeline(reads, params, distributed);
+      EXPECT_EQ(job.labels, in_process.labels);
+      EXPECT_EQ(job.candidate_pairs, in_process.candidate_pairs);
+      EXPECT_EQ(job.cluster_stats.counters.at("greedy.pairs_scored"),
+                static_cast<long>(in_process.candidate_pairs));
+      EXPECT_EQ(job.candidate_stats.input_records, 0u);
+      EXPECT_EQ(job.verify_stats.input_records, 0u);
+      EXPECT_GT(job.cluster_stats.timeline.total_s, 0.0);
+      ExecutionOptions again = distributed;
+      again.threads = 2;
+      EXPECT_EQ(run_pipeline(reads, params, again).cluster_stats.timeline.total_s,
+                job.cluster_stats.timeline.total_s);
+    }
   }
 }
 

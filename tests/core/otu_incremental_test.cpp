@@ -8,6 +8,7 @@
 #include "core/greedy.hpp"
 #include "core/incremental.hpp"
 #include "core/otu_table.hpp"
+#include "core/pipeline.hpp"
 #include "simdata/marker16s.hpp"
 
 namespace mrmc::core {
@@ -179,6 +180,55 @@ TEST(GreedyClusterIndexed, FarFewerComparisonsThanExact) {
   const auto exact = exact_greedy(reads, params);
   EXPECT_EQ(indexed.num_clusters(), exact.num_clusters);
   EXPECT_LT(indexed.comparisons(), exact.comparisons / 4);
+}
+
+TEST(GreedyClusterIndexed, MatchesThePipelinesGreedyLshLabels) {
+  // Same sketches, same explicit bands, same bucket seed: a fresh
+  // clusterer's add_all joins each read to the smallest-id passing
+  // representative in its buckets, exactly as the pipeline's bucket sweep.
+  // Each chimera (first half of a, second half of b) passes both earlier
+  // representatives a and b, and shares a bucket with b before a in band
+  // order about half the time — so the join rule decides its label.
+  common::Xoshiro256 rng(23);
+  const auto random_read = [&] {
+    std::string read(100, 'A');
+    for (char& c : read) c = "ACGT"[rng.bounded(4)];
+    return read;
+  };
+  std::vector<std::string> sample;
+  for (int t = 0; t < 30; ++t) {
+    const std::string a = random_read();
+    const std::string b = random_read();
+    sample.push_back(a);
+    sample.push_back(b);
+    sample.push_back(a.substr(0, 50) + b.substr(50));
+  }
+  std::vector<bio::FastaRecord> records;
+  for (const auto& seq : sample) records.push_back({"r", "r", seq});
+  const std::vector<std::string_view> views(sample.begin(), sample.end());
+  for (const auto estimator :
+       {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
+    for (const std::size_t bands : {std::size_t{10}, std::size_t{40}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "set_based=" << (estimator == SketchEstimator::kSetBased)
+                   << " bands=" << bands);
+      PipelineParams params;
+      params.minhash = kFamilyHashes;
+      params.mode = Mode::kGreedy;
+      params.theta = 0.15;
+      params.greedy_estimator = estimator;
+      params.candidates.backend = candidates::Backend::kLshBanded;
+      params.candidates.bands = bands;
+      ExecutionOptions local;
+      local.distributed = false;
+      const auto pipeline = run_pipeline(records, params, local);
+
+      IncrementalClusterer clusterer(kFamilyHashes, {params.theta, estimator},
+                                     bands);
+      EXPECT_EQ(clusterer.add_all(views), pipeline.labels);
+      EXPECT_EQ(clusterer.num_clusters(), pipeline.num_clusters);
+    }
+  }
 }
 
 TEST(GreedyClusterIndexed, EmptyAndSingle) {

@@ -293,27 +293,38 @@ class PipelineDoctorTest : public ::testing::Test {
 };
 
 TEST_F(PipelineDoctorTest, LshCandidateStagesAppearAndRoundTrip) {
-  // The LSH backend adds two jobs the doctor has never been taught about —
-  // "candidates" and "verify" — and the stage list must pick them up from
-  // lineage alone.
+  // Hierarchical + LSH adds two jobs the doctor has never been taught
+  // about — "candidates" and "verify" — and the stage list must pick them
+  // up from lineage alone.
   core::PipelineParams params;
   params.minhash = {.kmer = 5, .num_hashes = 40, .canonical = true, .seed = 1};
-  params.mode = core::Mode::kGreedy;
-  params.theta = 0.3;
+  params.mode = core::Mode::kHierarchical;
+  params.theta = 0.5;
   params.candidates.backend = core::candidates::Backend::kLshBanded;
   core::ExecutionOptions exec;
   exec.threads = 2;
   exec.records_per_split = 16;
   core::run_pipeline(sample_reads(80), params, exec);
 
-  const std::vector<PipelineReport> reports = traced_reports();
+  std::vector<PipelineReport> reports = traced_reports();
   ASSERT_EQ(reports.size(), 1u);
   ASSERT_EQ(reports[0].stages.size(), 4u);
   EXPECT_EQ(reports[0].stages[0].job.name, "sketch");
   EXPECT_EQ(reports[0].stages[1].job.name, "candidates");
   EXPECT_EQ(reports[0].stages[2].job.name, "verify");
-  EXPECT_EQ(reports[0].stages[3].job.name, "greedy-cluster");
+  EXPECT_EQ(reports[0].stages[3].job.name, "hierarchical-cluster");
   EXPECT_TRUE(reports[0].has_wall);
+
+  // Greedy + LSH scores bucket-mates inside its cluster job: two stages.
+  Tracer::global().clear();
+  params.mode = core::Mode::kGreedy;
+  params.theta = 0.3;
+  core::run_pipeline(sample_reads(80), params, exec);
+  reports = traced_reports();
+  ASSERT_EQ(reports.size(), 1u);
+  ASSERT_EQ(reports[0].stages.size(), 2u);
+  EXPECT_EQ(reports[0].stages[0].job.name, "sketch");
+  EXPECT_EQ(reports[0].stages[1].job.name, "greedy-cluster");
 }
 
 TEST_F(PipelineDoctorTest, SamplerProgressAndFaultsLeaveTheReportIdentical) {

@@ -88,9 +88,19 @@ std::vector<PipelineCase> pipeline_cases() {
   lsh_greedy.params.mode = Mode::kGreedy;
   lsh_greedy.params.theta = 0.3;
   lsh_greedy.params.candidates.backend = candidates::Backend::kLshBanded;
-  lsh_greedy.stages = {"sketch", "candidates", "verify", "greedy-cluster"};
+  // Greedy + LSH scores bucket-mates inside the cluster stage's sweep.
+  lsh_greedy.stages = {"sketch", "greedy-cluster"};
 
-  return {exact_greedy, exact_hier, lsh_greedy};
+  // Hierarchical + LSH keeps the candidates and verify stages.
+  PipelineCase lsh_hier;
+  lsh_hier.name = "lsh-hierarchical";
+  lsh_hier.params.minhash = minhash;
+  lsh_hier.params.mode = Mode::kHierarchical;
+  lsh_hier.params.theta = 0.5;
+  lsh_hier.params.candidates.backend = candidates::Backend::kLshBanded;
+  lsh_hier.stages = {"sketch", "candidates", "verify", "hierarchical-cluster"};
+
+  return {exact_greedy, exact_hier, lsh_greedy, lsh_hier};
 }
 
 ExecutionOptions exec_options(std::size_t threads,
@@ -164,7 +174,7 @@ TEST(DriverChaos, KillAfterEveryStageResumesByteIdentical) {
 
 TEST(DriverChaos, LocalCrashResumesDistributedByteIdentical) {
   const auto reads = sample_reads();
-  const PipelineCase c = pipeline_cases()[2];  // lsh-greedy
+  const PipelineCase c = pipeline_cases()[3];  // lsh-hierarchical
   const PipelineResult baseline =
       run_pipeline(reads, c.params, exec_options(2, {}, ""));
 
@@ -266,30 +276,48 @@ TEST(DriverChaos, ExhaustedRetriesCarryTheAttemptHistory) {
 
 TEST(DriverChaos, LshCandidatesExhaustionDegradesToExactAllPairs) {
   const auto reads = sample_reads();
-  const PipelineCase c = pipeline_cases()[2];  // lsh-greedy
-  for (const bool distributed : {true, false}) {
-    SCOPED_TRACE(distributed ? "distributed" : "local");
-    ExecutionOptions exec = exec_options(2, {}, "", distributed);
-    exec.max_job_attempts = 2;
-    exec.backoff_base_s = 1e-3;
-    exec.backoff_cap_s = 2e-3;
+  // Each LSH shape degrades the stage that reads its buckets: hierarchical
+  // its candidates stage, greedy its bucket-sweep cluster stage.
+  const std::vector<std::pair<PipelineCase, std::string>> cases = {
+      {pipeline_cases()[3], "candidates:2"},      // lsh-hierarchical
+      {pipeline_cases()[2], "greedy-cluster:2"},  // lsh-greedy
+  };
+  for (const auto& [c, fail_spec] : cases) {
+    for (const bool distributed : {true, false}) {
+      SCOPED_TRACE(c.name + (distributed ? " / distributed" : " / local"));
+      ExecutionOptions exec = exec_options(2, {}, "", distributed);
+      exec.max_job_attempts = 2;
+      exec.backoff_base_s = 1e-3;
+      exec.backoff_cap_s = 2e-3;
 
-    ScopedEnv fail("MRMC_FAIL_STAGE", "candidates:2");
-    const PipelineResult degraded = run_pipeline(reads, c.params, exec);
-    EXPECT_EQ(degraded.recovery.lsh_fallbacks, 1u);
-    EXPECT_EQ(degraded.labels.size(), reads.size());
-    EXPECT_GT(degraded.num_clusters, 0u);
+      ScopedEnv fail("MRMC_FAIL_STAGE", fail_spec);
+      const PipelineResult degraded = run_pipeline(reads, c.params, exec);
+      EXPECT_EQ(degraded.recovery.lsh_fallbacks, 1u);
+      EXPECT_EQ(degraded.labels.size(), reads.size());
+      EXPECT_GT(degraded.num_clusters, 0u);
 
-    // The degraded path is itself deterministic.
-    const PipelineResult again = run_pipeline(reads, c.params, exec);
-    EXPECT_EQ(again.labels, degraded.labels);
+      // The degraded path is itself deterministic.
+      const PipelineResult again = run_pipeline(reads, c.params, exec);
+      EXPECT_EQ(again.labels, degraded.labels);
 
-    // The size guard: with the fallback disabled the exhaustion propagates.
-    ExecutionOptions no_fallback = exec;
-    no_fallback.lsh_fallback_max_reads = 0;
-    EXPECT_THROW((void)run_pipeline(reads, c.params, no_fallback),
-                 mr::recovery::RetryExhausted);
+      // The size guard: with the fallback disabled the exhaustion propagates.
+      ExecutionOptions no_fallback = exec;
+      no_fallback.lsh_fallback_max_reads = 0;
+      EXPECT_THROW((void)run_pipeline(reads, c.params, no_fallback),
+                   mr::recovery::RetryExhausted);
+    }
   }
+
+  // The degraded greedy stage is the exact sweep: exact-backend labels.
+  PipelineParams exact_params = pipeline_cases()[2].params;
+  exact_params.candidates = {};
+  const PipelineResult exact =
+      run_pipeline(reads, exact_params, exec_options(2, {}, ""));
+  ExecutionOptions exec = exec_options(2, {}, "");
+  exec.max_job_attempts = 1;
+  ScopedEnv fail("MRMC_FAIL_STAGE", "greedy-cluster:1");
+  EXPECT_EQ(run_pipeline(reads, pipeline_cases()[2].params, exec).labels,
+            exact.labels);
 }
 
 }  // namespace
