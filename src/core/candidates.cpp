@@ -72,47 +72,6 @@ std::uint64_t band_bucket_key(std::span<const std::uint64_t> sketch,
   return h;
 }
 
-LshBucketIndex::LshBucketIndex(std::size_t sketch_size, BandShape shape,
-                               std::uint64_t seed)
-    : shape_(shape), seed_(seed) {
-  MRMC_REQUIRE(shape.bands >= 1 && shape.bands * shape.rows == sketch_size,
-               "band shape must tile the sketch length");
-  buckets_.resize(shape_.bands);
-}
-
-void LshBucketIndex::insert(int id, std::span<const std::uint64_t> sketch) {
-  MRMC_REQUIRE(sketch.size() == shape_.bands * shape_.rows,
-               "sketch length mismatch");
-  MRMC_REQUIRE(id >= 0, "bucket ids must be non-negative");
-  if (static_cast<std::size_t>(id) >= stamp_.size()) {
-    stamp_.resize(static_cast<std::size_t>(id) + 1, 0);
-  }
-  for (std::size_t band = 0; band < shape_.bands; ++band) {
-    buckets_[band][band_bucket_key(sketch, band, shape_, seed_)].push_back(id);
-  }
-  ++inserted_;
-}
-
-std::vector<int> LshBucketIndex::candidates(
-    std::span<const std::uint64_t> sketch) {
-  MRMC_REQUIRE(sketch.size() == shape_.bands * shape_.rows,
-               "sketch length mismatch");
-  ++query_;  // stamps start at 0, so the first query is 1
-  std::vector<int> out;
-  for (std::size_t band = 0; band < shape_.bands; ++band) {
-    const auto it =
-        buckets_[band].find(band_bucket_key(sketch, band, shape_, seed_));
-    if (it == buckets_[band].end()) continue;
-    for (const int id : it->second) {
-      std::size_t& stamp = stamp_[static_cast<std::size_t>(id)];
-      if (stamp == query_) continue;
-      stamp = query_;
-      out.push_back(id);
-    }
-  }
-  return out;
-}
-
 namespace {
 
 std::vector<Pair> all_pairs(std::size_t n) {

@@ -17,8 +17,9 @@
 // sketch kernels (PairScorer: count_equal / SortedSketchStore) into a
 // SparseSimilarityGraph that hierarchical (similarity_matrix_from_graph),
 // pig's CalculatePairwiseSimilarity and greedy_cluster_graph consume.  The
-// pipeline's greedy mode skips the pair list: its LSH sweep
-// (core/greedy) probes the same band buckets for representatives only.
+// pipeline's greedy mode skips the pair list on either backend: its bucket
+// sweep (core/greedy) probes the same band buckets for representatives only
+// (under the exact backend, one bucket that holds every representative).
 // The S-curve / band-shape math lives here and only here.
 //
 // Everything in this header is deterministic: candidate sets and edge lists
@@ -30,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -93,8 +93,8 @@ struct Params {
                                            double theta);
 
 /// The banding hash: bucket key of `sketch`'s band `band` under `shape`.
-/// Every consumer — the incremental index, the batch enumerator, and the
-/// candidate MapReduce job — must call this exact function so their bucket
+/// Every consumer — the batch enumerator, the candidate MapReduce job, and
+/// the greedy bucket sweep — must call this exact function so their bucket
 /// structure (and therefore their candidate sets) agree.
 [[nodiscard]] std::uint64_t band_bucket_key(std::span<const std::uint64_t> sketch,
                                             std::size_t band,
@@ -103,36 +103,6 @@ struct Params {
 
 /// An unordered candidate pair, stored with a < b.
 using Pair = std::pair<std::uint32_t, std::uint32_t>;
-
-/// Incremental banded bucket index: supports interleaved insert / candidate
-/// queries, as IncrementalClusterer's representative index needs.  Batch
-/// enumeration should prefer enumerate_pairs.
-class LshBucketIndex {
- public:
-  LshBucketIndex(std::size_t sketch_size, BandShape shape, std::uint64_t seed);
-
-  [[nodiscard]] std::size_t bands() const noexcept { return shape_.bands; }
-  [[nodiscard]] std::size_t rows() const noexcept { return shape_.rows; }
-
-  /// `id` must be >= 0.
-  void insert(int id, std::span<const std::uint64_t> sketch);
-
-  /// All ids sharing at least one band bucket with `sketch`, deduplicated,
-  /// in band order, then insertion order within a bucket.  Not const: a
-  /// per-id stamp array, reused across queries, does the deduplication.
-  [[nodiscard]] std::vector<int> candidates(
-      std::span<const std::uint64_t> sketch);
-
-  [[nodiscard]] std::size_t size() const noexcept { return inserted_; }
-
- private:
-  BandShape shape_;
-  std::uint64_t seed_;
-  std::size_t inserted_ = 0;
-  std::vector<std::unordered_map<std::uint64_t, std::vector<int>>> buckets_;
-  std::vector<std::size_t> stamp_;  ///< stamp_[id] == query_: id already out
-  std::size_t query_ = 0;
-};
 
 /// Enumerate candidate pairs for the whole sketch matrix under `params`:
 /// all pairs (exact backend) or bucket-mates in at least one band (LSH
@@ -166,7 +136,7 @@ struct SparseSimilarityGraph {
 };
 
 /// The similarity of sketch rows (a, b), a < b, under `estimator`: the one
-/// copy of the arithmetic verify_pairs and the LSH greedy sweep share, so
+/// copy of the arithmetic verify_pairs and the greedy bucket sweep share, so
 /// their threshold decisions agree bit for bit.  Component-match is
 /// count_equal · (1/cols), the reciprocal multiply of
 /// kernels::component_match_matrix; set-based is SortedSketchStore::jaccard.

@@ -9,67 +9,9 @@
 
 namespace mrmc::core {
 
-namespace {
-
-/// Algorithm 1's sweep, parameterized over the pair-similarity callback (one
-/// per estimator).
-template <typename Similarity>
-GreedyResult greedy_sweep(std::size_t n, const GreedyParams& params,
-                          Similarity&& similarity) {
-  MRMC_REQUIRE(params.theta >= 0.0 && params.theta <= 1.0, "theta in [0, 1]");
-  GreedyResult result;
-  result.labels.assign(n, -1);
-  if (n == 0) return result;
-
-  // `pending` holds the indices of still-unassigned sequences, in input
-  // order; each pass removes the new representative and everything it
-  // absorbs (Algorithm 1 lines 5-14).
-  std::vector<std::size_t> pending(n);
-  for (std::size_t i = 0; i < n; ++i) pending[i] = i;
-
-  int next_label = 0;
-  while (!pending.empty()) {
-    const std::size_t rep = pending.front();
-    const int label = next_label++;
-    result.labels[rep] = label;
-    result.representatives.push_back(rep);
-
-    std::vector<std::size_t> still_pending;
-    still_pending.reserve(pending.size());
-    for (std::size_t idx = 1; idx < pending.size(); ++idx) {
-      const std::size_t candidate = pending[idx];
-      ++result.comparisons;
-      if (similarity(rep, candidate) >= params.theta) {
-        result.labels[candidate] = label;
-      } else {
-        still_pending.push_back(candidate);
-      }
-    }
-    pending = std::move(still_pending);
-  }
-
-  result.num_clusters = static_cast<std::size_t>(next_label);
-  return result;
-}
-
-}  // namespace
-
 GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
                             const GreedyParams& params) {
-  const std::size_t n = sketches.rows();
-  if (params.estimator == SketchEstimator::kSetBased) {
-    const SortedSketchStore store(sketches);
-    return greedy_sweep(n, params, [&](std::size_t i, std::size_t j) {
-      return store.jaccard(i, j);
-    });
-  }
-  const auto cols = static_cast<double>(sketches.cols());
-  return greedy_sweep(n, params, [&](std::size_t i, std::size_t j) {
-    if (sketches.cols() == 0) return 0.0;
-    const std::size_t matches =
-        kernels::count_equal(sketches.row(i), sketches.row(j));
-    return static_cast<double>(matches) / cols;
-  });
+  return greedy_cluster(sketches, params, candidates::Params{}, params.theta);
 }
 
 GreedyResult greedy_cluster_graph(const candidates::SparseSimilarityGraph& graph,
@@ -100,9 +42,9 @@ GreedyResult greedy_cluster_graph(const candidates::SparseSimilarityGraph& graph
     }
   }
 
-  // Equivalent formulation of Algorithm 1's pending-list sweep: by the time
-  // index i is reached every j < i is already assigned (absorbed earlier or
-  // a representative itself), so a new representative i only needs to test
+  // Algorithm 1 from the representatives' side: by the time index i is
+  // reached every j < i is already assigned (absorbed earlier or a
+  // representative itself), so a new representative i only needs to test
   // its *graph neighbors* j > i that are still unassigned.
   int next_label = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -129,26 +71,32 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
   const std::size_t n = sketches.rows();
   GreedyResult result;
   result.labels.assign(n, -1);
-  // Fewer than two reads have no bucket-mates (enumerate_pairs returns no
-  // pairs without resolving a shape): zero bands makes every read a
-  // singleton representative.
+  const bool exact = lsh.backend == candidates::Backend::kExactAllPairs;
+  // The exact backend is one band whose single bucket holds every
+  // representative.  LSH: fewer than two reads have no bucket-mates
+  // (enumerate_pairs returns no pairs without resolving a shape), so zero
+  // bands makes every read a singleton representative.
   const candidates::BandShape shape =
-      n < 2 ? candidates::BandShape{}
-            : candidates::resolve_band_shape(lsh, sketches.cols(), band_theta);
+      exact ? candidates::BandShape{1, sketches.cols()}
+      : n < 2
+          ? candidates::BandShape{}
+          : candidates::resolve_band_shape(lsh, sketches.cols(), band_theta);
   const std::size_t bands = shape.bands;
   const std::size_t slots = n * bands;
   MRMC_REQUIRE(slots < std::numeric_limits<std::uint32_t>::max(),
                "too many (read, band) entries for 32-bit bucket ids");
 
-  // Bucket ids.  One (key, read·bands + band) entry per slot, sorted so each
-  // bucket is a contiguous run of equal keys — the runs lsh_pairs turns
-  // into pairs (a key repeated across bands is one bucket there too).
-  // bucket_of[slot] is the slot's dense bucket id; bucket b later stores its
-  // representatives in reps[start[b] .. start[b] + filled[b]), room for its
-  // whole run.
-  std::vector<std::uint32_t> bucket_of(slots);
+  // Bucket ids.  bucket_of[read·bands + band] is that slot's dense bucket
+  // id; bucket b later stores its representatives in
+  // reps[start[b] .. start[b] + filled[b]), room for its whole run.
+  std::vector<std::uint32_t> bucket_of(slots, 0);
   std::vector<std::uint32_t> start;
-  {
+  if (exact) {
+    if (n > 0) start.push_back(0);
+  } else {
+    // One (key, slot) entry per slot, sorted so each bucket is a contiguous
+    // run of equal keys — the runs lsh_pairs turns into pairs (a key
+    // repeated across bands is one bucket there too).
     std::vector<std::pair<std::uint64_t, std::uint32_t>> entries(slots);
     auto fill_row = [&](std::size_t i) {
       const auto sketch = sketches.row(i);
@@ -179,7 +127,9 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
   // (smallest passing) representative found so far; stamp[r] == j marks r
   // as already scored for read j.  Every representative is < j, and j joins
   // the smallest-id bucket-mate representative r with similarity >= θ —
-  // the label greedy_cluster_graph gives j over the verified graph.
+  // the label greedy_cluster_graph gives j over the verified graph.  With
+  // one bucket, j scores exactly the representatives created before it, in
+  // creation order: Algorithm 1's comparisons, one read at a time.
   const candidates::PairScorer similarity(sketches, params.estimator);
   std::vector<std::uint32_t> reps(slots);
   std::vector<std::uint32_t> filled(start.size(), 0);

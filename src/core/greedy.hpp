@@ -1,12 +1,15 @@
 // Greedy clustering — Algorithm 1 of the paper (MrMC-MinH^g).
 //
-// Incremental procedure: pick the first unassigned sequence, open a new
-// cluster with it as representative, and sweep the remaining unassigned
-// sequences, absorbing every one whose sketch similarity to the
-// representative is >= theta.  Repeat until all sequences are assigned.
-// Worst case O(N * #clusters) sketch comparisons; the input set shrinks
-// every pass, which is why the paper's greedy variant is ~2x faster than
-// the hierarchical one.
+// A read joins the first cluster representative whose sketch similarity to
+// it is >= theta, or becomes a representative itself.  One loop implements
+// it: a sweep over the reads in input order in which read j scores the
+// earlier representatives in ascending id order.  The exact backend keeps
+// every representative in one bucket (O(N * #clusters) comparisons, the
+// paper's cost); the LSH backend files each representative under its band
+// buckets, so j scores only the representatives that share a bucket with
+// it.  greedy_cluster_graph runs the same join rule over a verified
+// candidate graph: the sweep's test oracle, and the composed
+// enumerate -> verify -> greedy pass the LSH benchmarks time.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +33,11 @@ struct GreedyResult {
   std::size_t comparisons = 0;   ///< sketch comparisons performed
 };
 
-/// Greedy sweep over the flat sketch store.  Component-match comparisons run
-/// the batched count_equal kernel over contiguous rows; set-based pre-sorts
-/// every sketch once into a SortedSketchStore.
+/// Exact Algorithm 1: the bucket sweep below with candidates::Params{}, one
+/// bucket that holds every representative.  Read j scores the
+/// representatives created before it, in creation order, and joins the
+/// first that passes, so `comparisons` is Algorithm 1's count: each
+/// representative against every read still unassigned when it was created.
 GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
                             const GreedyParams& params);
 
@@ -47,13 +52,14 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
 GreedyResult greedy_cluster_graph(const candidates::SparseSimilarityGraph& graph,
                                   const GreedyParams& params);
 
-/// Algorithm 1 with LSH-banded candidates, comparing each read only with
-/// the representatives that share one of its band buckets (the pipeline's
-/// greedy + kLshBanded path).  Band keys come from
-/// candidates::band_bucket_key under the shape `lsh` resolves at
-/// `band_theta` (computed on `pool` when given); one sort turns them into
-/// dense bucket ids.  The sweep then visits reads in order: read j scores
-/// the earlier representatives in its buckets and joins the smallest-id one
+/// Algorithm 1 as a bucket sweep over representatives.  Under the LSH
+/// backend each read is compared only with the representatives that share
+/// one of its band buckets: band keys come from candidates::band_bucket_key
+/// under the shape `lsh` resolves at `band_theta` (computed on `pool` when
+/// given), and one sort turns them into dense bucket ids.  Under the exact
+/// backend (`band_theta` and `pool` unused) one bucket holds every
+/// representative.  The sweep visits reads in order: read j scores the
+/// earlier representatives in its buckets and joins the smallest-id one
 /// with similarity >= params.theta (candidates::PairScorer arithmetic), or
 /// becomes a representative and enters its buckets.  Labels,
 /// representatives and cluster count are identical to

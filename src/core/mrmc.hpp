@@ -24,9 +24,7 @@
 #include "core/candidates.hpp"
 #include "core/greedy.hpp"
 #include "core/hierarchical.hpp"
-#include "core/incremental.hpp"
 #include "core/minhash.hpp"
-#include "core/otu_table.hpp"
 #include "core/pipeline.hpp"
 #include "mr/cluster.hpp"
 #include "mr/job.hpp"

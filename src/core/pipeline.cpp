@@ -713,42 +713,41 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
   }
 
   // The cluster step: called inline by the local executor, and by the
-  // single GROUP-ALL reducer when distributed.  Greedy + LSH runs the
-  // representatives-only bucket sweep; band shape keeps the ORIGINAL theta
-  // (see EffectiveKnobs).  `banded` drops to false when that stage degrades
-  // to the exact sweep.
-  bool banded = greedy && lsh;
+  // single GROUP-ALL reducer when distributed.  Greedy runs the bucket sweep
+  // over `source`: the configured candidate backend, or its exact copy once
+  // an LSH greedy-cluster stage degrades.  Band shape keeps the ORIGINAL
+  // theta (see EffectiveKnobs).
+  candidates::Params source = params.candidates;
   const GreedyParams greedy_params{knobs.theta, knobs.estimator};
   std::size_t pairs_scored = 0;
   const ClusterStep cluster = [&](mr::Counters& counters) {
     if (!greedy) {
       return cut_dendrogram(agglomerate(matrix, params.linkage), knobs.theta);
     }
-    if (!banded) return greedy_cluster(*sketches, greedy_params).labels;
-    GreedyResult swept = greedy_cluster(*sketches, greedy_params,
-                                        params.candidates, params.theta, pool);
+    GreedyResult swept =
+        greedy_cluster(*sketches, greedy_params, source, params.theta, pool);
     pairs_scored = swept.comparisons;
     counters["greedy.pairs_scored"] += static_cast<long>(pairs_scored);
     return std::move(swept.labels);
   };
   // Simulated reducer cost, deterministic and read after the reducer ran.
-  // The bucket sweep makes n · bands bucket probes plus the comparisons it
+  // The LSH sweep makes n · bands bucket probes plus the comparisons it
   // counted.  Exhaustive greedy comparisons are data dependent; model the
   // observed ~N*sqrt(N) envelope.
   const auto vertices = static_cast<double>(n);
-  const std::size_t bands =
-      banded ? candidates::resolve_band_shape(params.candidates,
-                                           params.minhash.num_hashes,
-                                           params.theta)
-                .bands
-          : 0;
   const std::function<double()> reduce_work = [&] {
     if (!greedy) return cost::dendrogram_work(n);
-    const double comparisons =
-        banded ? vertices * static_cast<double>(bands) +
-                     static_cast<double>(pairs_scored)
-               : vertices * std::max(1.0, std::sqrt(vertices));
-    return comparisons * cost::compare_work(100);
+    if (source.backend == candidates::Backend::kExactAllPairs) {
+      return vertices * std::max(1.0, std::sqrt(vertices)) *
+             cost::compare_work(100);
+    }
+    const std::size_t bands =
+        candidates::resolve_band_shape(source, params.minhash.num_hashes,
+                                       params.theta)
+            .bands;
+    return (vertices * static_cast<double>(bands) +
+            static_cast<double>(pairs_scored)) *
+           cost::compare_work(100);
   };
   auto run_cluster_stage = [&](const std::string& stage) {
     return driver.run_stage(
@@ -768,16 +767,16 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
   try {
     result.labels = run_cluster_stage(cluster_stage);
   } catch (const mr::recovery::RetryExhausted& error) {
-    if (!banded || !lsh_fallback_allowed(exec, n)) throw;
+    if (!greedy || !lsh || !lsh_fallback_allowed(exec, n)) throw;
     // Graceful degradation, as for hierarchical's candidates stage: the
     // exact sweep clusters with the same θ semantics at O(N · clusters)
     // cost.
     note_lsh_fallback(driver, cluster_stage, "exact greedy", n, error);
-    banded = false;
+    source.backend = candidates::Backend::kExactAllPairs;
     result.labels = run_cluster_stage(cluster_stage + "-exact-fallback");
   }
   result.sim_total_s += result.cluster_stats.timeline.total_s;
-  if (banded) result.candidate_pairs = pairs_scored;
+  if (greedy) result.candidate_pairs = pairs_scored;
 }
 
 }  // namespace

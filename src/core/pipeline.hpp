@@ -25,10 +25,10 @@
 //                   or the dendrogram build + θ-cut (Algorithm 3,
 //                   steps 6-9)
 //
-// Greedy mode is always sketch -> greedy-cluster.  Under the LSH backend
-// its reducer runs the representatives-only bucket sweep
-// (greedy_cluster(sketches, params, lsh, band_theta)): each read is scored
-// against the earlier representatives sharing one of its band buckets, so
+// Greedy mode is always sketch -> greedy-cluster.  Its reducer runs the
+// representatives-only bucket sweep (greedy_cluster(sketches, params, lsh,
+// band_theta)): each read is scored against the earlier representatives
+// sharing one of its band buckets (all of them under the exact backend), so
 // no candidate-pair list or similarity graph is ever built.
 //
 // Simulated job timelines accumulate into PipelineResult::sim_total_s, the
@@ -129,10 +129,11 @@ struct PipelineResult {
   mr::JobStats candidate_stats;   ///< hierarchical mode, LSH backend only
   mr::JobStats verify_stats;      ///< hierarchical mode, LSH backend only
   mr::JobStats cluster_stats;
-  /// Scored pairs, LSH backend only: verified candidate pairs
-  /// (hierarchical), or the (representative, read) pairs the greedy bucket
-  /// sweep scored — also counter `greedy.pairs_scored`.  0 when the stage
-  /// that scores them was served from checkpoint.
+  /// Scored pairs: the (representative, read) pairs the greedy bucket sweep
+  /// scored on either backend — also counter `greedy.pairs_scored` — or, in
+  /// hierarchical mode, the verified LSH candidate pairs (0 under the exact
+  /// backend).  0 when the stage that scores them was served from
+  /// checkpoint.
   std::size_t candidate_pairs = 0;
   /// What the recovery stage driver did: checkpoint hits/misses/writes,
   /// retries, fallbacks — on either executor.

@@ -1,11 +1,11 @@
 // core::candidates — the pair-enumeration layer.  Covers the S-curve
 // properties, band-shape selection and validation, backend equivalence
-// (exact graphs reproduce the dense all-pairs matrix bit-for-bit, the
-// graph greedy sweep reproduces the exhaustive sweep, and the LSH bucket
-// sweep reproduces the graph greedy over verified LSH pairs), determinism of the
-// candidate MapReduce job across thread counts / split sizes / fault plans /
-// kernel backends, and the recall harness in eval/.  Kept as its own binary
-// so the TSan leg can build and run it in isolation.
+// (exact graphs reproduce the dense all-pairs matrix bit-for-bit, and the
+// greedy bucket sweep reproduces the graph greedy over verified pairs on
+// either backend), determinism of the candidate MapReduce job across
+// thread counts / split sizes / fault plans / kernel backends, and the
+// recall harness in eval/.  Kept as its own binary so the TSan leg can
+// build and run it in isolation.
 #include "core/candidates.hpp"
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "core/candidate_jobs.hpp"
 #include "core/greedy.hpp"
 #include "core/hierarchical.hpp"
-#include "core/incremental.hpp"
 #include "core/kernels.hpp"
 #include "core/pipeline.hpp"
 #include "eval/candidate_recall.hpp"
@@ -161,59 +160,66 @@ TEST(BandShape, ResolveHonorsExplicitBands) {
                common::InvalidArgument);
 }
 
-// ------------------------------------------------------ incremental index
+// ---------------------------------------------------------------- LSH index
+// The banded index as every consumer builds it: band_bucket_key runs, here
+// read back through enumerate_pairs under an explicit band count.
+
+candidates::Params banded(std::size_t bands) {
+  candidates::Params lsh;
+  lsh.backend = candidates::Backend::kLshBanded;
+  lsh.bands = bands;
+  return lsh;
+}
+
+std::vector<candidates::Pair> bucket_mates(const std::vector<Sketch>& sketches,
+                                           std::size_t bands) {
+  return candidates::enumerate_pairs(
+      kernels::SketchMatrix::from_sketches(std::span<const Sketch>(sketches)),
+      banded(bands), 0.5);
+}
 
 TEST(LshIndex, RejectsBadShapes) {
-  // The incremental clusterer validates its band count against the sketch.
-  const MinHashParams hashes{.kmer = 12, .num_hashes = 50};
-  EXPECT_THROW(IncrementalClusterer(hashes, {}, 7), common::InvalidArgument);
-  EXPECT_THROW(IncrementalClusterer(hashes, {}, 0), common::InvalidArgument);
-  EXPECT_THROW(candidates::LshBucketIndex(50, {7, 7}, 1),
-               common::InvalidArgument);
-  candidates::LshBucketIndex index(
-      50, candidates::validated_band_shape(50, 10), 1);
-  EXPECT_THROW(index.insert(0, Sketch(49)), common::InvalidArgument);
-  EXPECT_THROW((void)index.candidates(Sketch(51)), common::InvalidArgument);
+  // Explicit band counts must tile the sketch, for the enumerator and the
+  // greedy bucket sweep alike.
+  const auto matrix = family_matrix(2, 2, 50, 0.1, 1);
+  for (const std::size_t bands : {std::size_t{7}, std::size_t{100}}) {
+    EXPECT_THROW((void)candidates::enumerate_pairs(matrix, banded(bands), 0.5),
+                 common::InvalidArgument);
+    EXPECT_THROW((void)greedy_cluster(matrix, {}, banded(bands), 0.5),
+                 common::InvalidArgument);
+  }
 }
 
 TEST(LshIndex, IdenticalSketchesAlwaysCandidates) {
-  candidates::LshBucketIndex index(40, {8, 5}, candidates::Params{}.seed);
   common::Xoshiro256 rng(1);
   const Sketch sketch = random_sketch(rng, 40);
-  index.insert(7, sketch);
-  const auto candidates = index.candidates(sketch);
-  ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0], 7);
-  EXPECT_EQ(index.size(), 1u);
+  const std::vector<Sketch> sketches{sketch, random_sketch(rng, 40), sketch};
+  EXPECT_EQ(bucket_mates(sketches, 8),
+            (std::vector<candidates::Pair>{{0, 2}}));
 }
 
 TEST(LshIndex, DisjointSketchesRarelyCollide) {
-  candidates::LshBucketIndex index(40, {8, 5}, candidates::Params{}.seed);
   common::Xoshiro256 rng(2);
-  for (int id = 0; id < 50; ++id) index.insert(id, random_sketch(rng, 40));
-  EXPECT_LT(index.candidates(random_sketch(rng, 40)).size(), 3u);
+  std::vector<Sketch> sketches;
+  for (int id = 0; id < 50; ++id) sketches.push_back(random_sketch(rng, 40));
+  EXPECT_LT(bucket_mates(sketches, 8).size(), 3u);
 }
 
 TEST(LshIndex, SimilarSketchesCollide) {
   // rows = 2: a sensitive shape.
-  candidates::LshBucketIndex index(40, {20, 2}, candidates::Params{}.seed);
   common::Xoshiro256 rng(3);
   const Sketch base = random_sketch(rng, 40);
-  index.insert(0, base);
   Sketch similar = base;
   for (std::size_t i = 0; i < 4; ++i) similar[i * 10] = rng();  // J ~ 0.9
-  const auto candidates = index.candidates(similar);
-  ASSERT_FALSE(candidates.empty());
-  EXPECT_EQ(candidates[0], 0);
+  EXPECT_EQ(bucket_mates({base, similar}, 20),
+            (std::vector<candidates::Pair>{{0, 1}}));
 }
 
 TEST(LshIndex, CandidatesDedupAcrossBands) {
-  candidates::LshBucketIndex index(40, {8, 5}, candidates::Params{}.seed);
   common::Xoshiro256 rng(4);
   const Sketch sketch = random_sketch(rng, 40);
-  index.insert(1, sketch);
-  // The same id collides in all 8 bands but must be returned once.
-  EXPECT_EQ(index.candidates(sketch).size(), 1u);
+  // The pair collides in all 8 bands but must be returned once.
+  EXPECT_EQ(bucket_mates({sketch, sketch}, 8).size(), 1u);
 }
 
 // -------------------------------------------------------------- enumeration
@@ -298,17 +304,51 @@ TEST(VerifyPairs, IdenticalUnderScalarAndActiveKernelBackends) {
 
 // ------------------------------------------------------------- graph greedy
 
+/// The pipeline's effective greedy knobs at `bits`: below 64 bits every
+/// estimator scores component matches against the b-bit adjusted θ.
+GreedyParams effective_greedy(double theta, SketchEstimator estimator,
+                              std::size_t bits) {
+  if (bits == 64) return {.theta = theta, .estimator = estimator};
+  const double component = estimator == SketchEstimator::kSetBased
+                               ? set_based_equivalent_threshold(theta)
+                               : theta;
+  return {.theta = bbit_adjusted_threshold(component, bits),
+          .estimator = SketchEstimator::kComponentMatch};
+}
+
 TEST(GreedyClusterGraph, MatchesExhaustiveSweepOnTheExactGraph) {
-  const auto matrix = family_matrix(6, 7, 40, 0.15, 16);
-  for (const auto estimator :
-       {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
-    const GreedyParams params{.theta = 0.6, .estimator = estimator};
-    const auto graph = candidates::build_graph(matrix, {}, 0.6, estimator);
-    const auto from_graph = greedy_cluster_graph(graph, params);
-    const auto exhaustive = greedy_cluster(matrix, params);
-    EXPECT_EQ(from_graph.labels, exhaustive.labels);
-    EXPECT_EQ(from_graph.num_clusters, exhaustive.num_clusters);
-    EXPECT_EQ(from_graph.representatives, exhaustive.representatives);
+  // Every θ = m / K lands exactly on a component-match similarity, so the
+  // sweep and the graph must make the same threshold decision on the
+  // boundary (both score with PairScorer).  The exact graph holds every
+  // pair, so the graph's edge inspections are the sweep's comparisons.
+  for (const std::size_t length : {std::size_t{10}, std::size_t{40}, std::size_t{100}}) {
+    for (const double noise : {0.15, 0.5}) {
+      for (const std::size_t bits : {std::size_t{64}, std::size_t{8}}) {
+        auto matrix = family_matrix(6, 7, length, noise, 16);
+        if (bits < 64) kernels::mask_components(matrix, sketch_bits_mask(bits));
+        for (std::size_t m = 0; m <= length; ++m) {
+          const double theta =
+              static_cast<double>(m) / static_cast<double>(length);
+          for (const auto estimator :
+               {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "K=" << length << " noise=" << noise
+                         << " bits=" << bits << " theta=" << m << "/" << length
+                         << " set_based="
+                         << (estimator == SketchEstimator::kSetBased));
+            const GreedyParams params = effective_greedy(theta, estimator, bits);
+            const auto graph =
+                candidates::build_graph(matrix, {}, theta, params.estimator);
+            const auto from_graph = greedy_cluster_graph(graph, params);
+            const auto exhaustive = greedy_cluster(matrix, params);
+            EXPECT_EQ(from_graph.labels, exhaustive.labels);
+            EXPECT_EQ(from_graph.num_clusters, exhaustive.num_clusters);
+            EXPECT_EQ(from_graph.representatives, exhaustive.representatives);
+            EXPECT_EQ(from_graph.comparisons, exhaustive.comparisons);
+          }
+        }
+      }
+    }
   }
 }
 
@@ -328,10 +368,10 @@ TEST(GreedyClusterGraph, RejectsOutOfRangeEdges) {
                common::InvalidArgument);
 }
 
-// ------------------------------------------------------- LSH bucket sweep
+// ----------------------------------------------------------- bucket sweep
 // greedy_cluster(sketches, params, lsh, band_theta) must reproduce the
 // composed oracle greedy_cluster_graph(verify_pairs(enumerate_pairs(...)))
-// exactly: labels, representatives and cluster count.
+// exactly, on either backend: labels, representatives and cluster count.
 
 /// 16S amplicon reads (80 bp, 1 % error) from `genes` genes of one fixed
 /// community; `seed` draws the reads.
@@ -375,38 +415,65 @@ void expect_same_clustering(const GreedyResult& got,
   EXPECT_EQ(got.num_clusters, oracle.num_clusters);
 }
 
+/// Chimeras: for each of 30 random 100-bp pairs (a, b), the reads a, b and
+/// a's first half joined to b's second half.  At θ = 0.15 each chimera
+/// passes both earlier representatives a and b, and shares a bucket with b
+/// before a in band order about half the time — so only the join rule
+/// (smallest-id passing representative, not the first one found) decides
+/// its label.
+std::vector<std::string> chimera_reads() {
+  common::Xoshiro256 rng(23);
+  const auto random_read = [&] {
+    std::string read(100, 'A');
+    for (char& c : read) c = "ACGT"[rng.bounded(4)];
+    return read;
+  };
+  std::vector<std::string> sample;
+  for (int t = 0; t < 30; ++t) {
+    const std::string a = random_read();
+    const std::string b = random_read();
+    sample.push_back(a);
+    sample.push_back(b);
+    sample.push_back(a.substr(0, 50) + b.substr(50));
+  }
+  return sample;
+}
+
+constexpr MinHashParams kChimeraHashes{.kmer = 12, .num_hashes = 40, .seed = 2};
+
+kernels::SketchMatrix chimera_sketches(std::size_t bits) {
+  const auto sample = chimera_reads();
+  const std::vector<std::string_view> seqs(sample.begin(), sample.end());
+  auto sketches = MinHasher(kChimeraHashes).sketch_matrix(seqs);
+  if (bits < 64) kernels::mask_components(sketches, sketch_bits_mask(bits));
+  return sketches;
+}
+
 TEST(GreedyBucketSweep, MatchesTheComposedGraphGreedy) {
   common::ThreadPool one(1);
   common::ThreadPool four(4);
   const std::vector<common::ThreadPool*> pools = {nullptr, &one, &four};
-  for (const std::uint64_t seed : {1, 2, 3}) {
+  // Input 0 is the chimeras; inputs 1-3 are amplicon samples of that seed.
+  for (const std::uint64_t input : {0, 1, 2, 3}) {
     for (const std::size_t bits : {std::size_t{64}, std::size_t{8}}) {
-      const auto sketches = amplicon_sketches(300, seed, bits);
-      for (const double theta : {0.25, 0.3, 0.4, 0.5, 0.9}) {
+      const auto sketches = input == 0 ? chimera_sketches(bits)
+                                       : amplicon_sketches(300, input, bits);
+      const std::vector<double> thetas =
+          input == 0 ? std::vector<double>{0.15, 0.3}
+                     : std::vector<double>{0.25, 0.3, 0.4, 0.5, 0.9};
+      for (const double theta : thetas) {
         for (const auto estimator :
              {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
-          // The pipeline's effective knobs: below 64 bits every estimator
-          // scores component matches against the b-bit adjusted θ, while
-          // the band shape keeps the original θ.
-          GreedyParams params{.theta = theta, .estimator = estimator};
-          if (bits < 64) {
-            const double component =
-                estimator == SketchEstimator::kSetBased
-                    ? set_based_equivalent_threshold(theta)
-                    : theta;
-            params = {.theta = bbit_adjusted_threshold(component, bits),
-                      .estimator = SketchEstimator::kComponentMatch};
-          }
+          // The band shape keeps the original θ.
+          const GreedyParams params = effective_greedy(theta, estimator, bits);
           // Automatic, 10 × 4, and the most sensitive 40 × 1.
           for (const std::size_t bands :
                {std::size_t{0}, std::size_t{10}, std::size_t{40}}) {
-            candidates::Params lsh;
-            lsh.backend = candidates::Backend::kLshBanded;
-            lsh.bands = bands;
+            const candidates::Params lsh = banded(bands);
             const auto oracle = composed_lsh_greedy(sketches, params, lsh, theta);
             for (common::ThreadPool* pool : pools) {
               SCOPED_TRACE(::testing::Message()
-                           << "seed=" << seed << " bits=" << bits
+                           << "input=" << input << " bits=" << bits
                            << " theta=" << theta << " set_based="
                            << (estimator == SketchEstimator::kSetBased)
                            << " bands=" << bands << " threads="
@@ -443,6 +510,76 @@ TEST(GreedyBucketSweep, TinyInputsMatchTheOracle) {
       EXPECT_EQ(oracle.labels.size(), n);
     }
   }
+}
+
+// The LSH sweep as an indexed greedy: against the exact sweep and the
+// pipeline.
+
+TEST(GreedyClusterIndexed, MatchesExactGreedyOnSeparatedData) {
+  const auto matrix = family_matrix(5, 12, 40, 0.05, 5);
+  const GreedyParams params{.theta = 0.5,
+                            .estimator = SketchEstimator::kComponentMatch};
+  expect_same_clustering(greedy_cluster(matrix, params, banded(20), 0.5),
+                         greedy_cluster(matrix, params));
+}
+
+TEST(GreedyClusterIndexed, FarFewerComparisonsThanExact) {
+  const auto matrix = family_matrix(40, 10, 40, 0.05, 6);
+  const GreedyParams params{.theta = 0.5,
+                            .estimator = SketchEstimator::kComponentMatch};
+  const auto indexed = greedy_cluster(matrix, params, banded(20), 0.5);
+  const auto exact = greedy_cluster(matrix, params);
+  EXPECT_EQ(indexed.num_clusters, exact.num_clusters);
+  EXPECT_LT(indexed.comparisons, exact.comparisons / 4);
+}
+
+TEST(GreedyClusterIndexed, MatchesThePipelinesGreedyLshLabels) {
+  // The pipeline's greedy + LSH cluster step is this sweep on the same
+  // sketches; the chimeras make the join rule decide labels.
+  const auto sample = chimera_reads();
+  std::vector<bio::FastaRecord> records;
+  for (const auto& seq : sample) records.push_back({"r", "r", seq});
+  const auto sketches = chimera_sketches(64);
+  for (const auto estimator :
+       {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
+    for (const std::size_t bands : {std::size_t{10}, std::size_t{40}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "set_based=" << (estimator == SketchEstimator::kSetBased)
+                   << " bands=" << bands);
+      PipelineParams params;
+      params.minhash = kChimeraHashes;
+      params.mode = Mode::kGreedy;
+      params.theta = 0.15;
+      params.greedy_estimator = estimator;
+      params.candidates = banded(bands);
+      ExecutionOptions local;
+      local.distributed = false;
+      const auto pipeline = run_pipeline(records, params, local);
+      const auto swept = greedy_cluster(sketches, {params.theta, estimator},
+                                        params.candidates, params.theta);
+      EXPECT_EQ(swept.labels, pipeline.labels);
+      EXPECT_EQ(swept.num_clusters, pipeline.num_clusters);
+    }
+  }
+}
+
+TEST(GreedyClusterIndexed, EmptyAndSingle) {
+  const auto sketches = chimera_sketches(64);
+  for (const std::size_t n : {0, 1}) {
+    kernels::SketchMatrix head(n, sketches.cols());
+    const auto result = greedy_cluster(head, {.theta = 0.5}, banded(8), 0.5);
+    EXPECT_EQ(result.labels, std::vector<int>(n, 0));
+    EXPECT_EQ(result.num_clusters, n);
+  }
+}
+
+TEST(GreedyClusterIndexed, LabelsAreDense) {
+  const auto matrix = family_matrix(6, 6, 40, 0.3, 8);
+  const auto result = greedy_cluster(matrix, {.theta = 0.6}, banded(10), 0.6);
+  const std::set<int> distinct(result.labels.begin(), result.labels.end());
+  EXPECT_EQ(distinct.size(), result.num_clusters);
+  EXPECT_EQ(*distinct.begin(), 0);
+  EXPECT_EQ(*distinct.rbegin(), static_cast<int>(distinct.size()) - 1);
 }
 
 TEST(GreedyBucketSweep, ScoresFarFewerPairsThanEnumerateAtTheta03) {
@@ -614,41 +751,48 @@ TEST_F(LshPipelineTest, DistributedMatchesLocalInBothModes) {
 }
 
 TEST_F(LshPipelineTest, GreedySweepLocalMatchesDistributedAndCountsPairs) {
-  // Greedy + LSH runs sketch -> greedy-cluster on both executors: the same
-  // labels, the same scored pairs (PipelineResult::candidate_pairs and
-  // counter greedy.pairs_scored), and a deterministic simulated reducer cost.
+  // Greedy runs sketch -> greedy-cluster on both executors and both
+  // backends: the same labels, the same scored pairs
+  // (PipelineResult::candidate_pairs and counter greedy.pairs_scored), and a
+  // deterministic simulated reducer cost.
   const auto reads = sample_reads();
-  for (const std::size_t bits : {std::size_t{64}, std::size_t{8}}) {
-    SCOPED_TRACE("bits=" + std::to_string(bits));
-    auto params = lsh_pipeline_params(Mode::kGreedy);
-    params.sketch_bits = bits;
-    ExecutionOptions local;
-    local.distributed = false;
-    auto& local_counter =
-        obs::Registry::global().counter("greedy.pairs_scored");
-    const long before = local_counter.value();
-    const auto in_process = run_pipeline(reads, params, local);
-    EXPECT_EQ(local_counter.value() - before,
-              static_cast<long>(in_process.candidate_pairs));
-    EXPECT_GT(in_process.candidate_pairs, 0u);
-
-    for (const std::size_t threads : {1, 3}) {
-      ExecutionOptions distributed;
-      distributed.threads = threads;
-      distributed.cluster.nodes = 4;
-      distributed.records_per_split = 16;
-      const auto job = run_pipeline(reads, params, distributed);
-      EXPECT_EQ(job.labels, in_process.labels);
-      EXPECT_EQ(job.candidate_pairs, in_process.candidate_pairs);
-      EXPECT_EQ(job.cluster_stats.counters.at("greedy.pairs_scored"),
+  for (const auto backend :
+       {candidates::Backend::kLshBanded, candidates::Backend::kExactAllPairs}) {
+    for (const std::size_t bits : {std::size_t{64}, std::size_t{8}}) {
+      SCOPED_TRACE(::testing::Message() << candidates::backend_name(backend)
+                                        << " bits=" << bits);
+      auto params = lsh_pipeline_params(Mode::kGreedy);
+      params.candidates.backend = backend;
+      params.sketch_bits = bits;
+      ExecutionOptions local;
+      local.distributed = false;
+      auto& local_counter =
+          obs::Registry::global().counter("greedy.pairs_scored");
+      const long before = local_counter.value();
+      const auto in_process = run_pipeline(reads, params, local);
+      EXPECT_EQ(local_counter.value() - before,
                 static_cast<long>(in_process.candidate_pairs));
-      EXPECT_EQ(job.candidate_stats.input_records, 0u);
-      EXPECT_EQ(job.verify_stats.input_records, 0u);
-      EXPECT_GT(job.cluster_stats.timeline.total_s, 0.0);
-      ExecutionOptions again = distributed;
-      again.threads = 2;
-      EXPECT_EQ(run_pipeline(reads, params, again).cluster_stats.timeline.total_s,
-                job.cluster_stats.timeline.total_s);
+      EXPECT_GT(in_process.candidate_pairs, 0u);
+
+      for (const std::size_t threads : {1, 3}) {
+        ExecutionOptions distributed;
+        distributed.threads = threads;
+        distributed.cluster.nodes = 4;
+        distributed.records_per_split = 16;
+        const auto job = run_pipeline(reads, params, distributed);
+        EXPECT_EQ(job.labels, in_process.labels);
+        EXPECT_EQ(job.candidate_pairs, in_process.candidate_pairs);
+        EXPECT_EQ(job.cluster_stats.counters.at("greedy.pairs_scored"),
+                  static_cast<long>(in_process.candidate_pairs));
+        EXPECT_EQ(job.candidate_stats.input_records, 0u);
+        EXPECT_EQ(job.verify_stats.input_records, 0u);
+        EXPECT_GT(job.cluster_stats.timeline.total_s, 0.0);
+        ExecutionOptions again = distributed;
+        again.threads = 2;
+        EXPECT_EQ(
+            run_pipeline(reads, params, again).cluster_stats.timeline.total_s,
+            job.cluster_stats.timeline.total_s);
+      }
     }
   }
 }
