@@ -55,7 +55,13 @@ struct SimPoint {
 
 /// The suffix every job name of one (reads, nodes) point carries.
 std::string point_tag(std::size_t reads, std::size_t nodes) {
-  return "[" + std::to_string(reads) + "r/" + std::to_string(nodes) + "n]";
+  // append, not "lit" + std::string: GCC 12 -Wrestrict false positive
+  // (GCC PR 105329).
+  return std::string("[")
+      .append(std::to_string(reads))
+      .append("r/")
+      .append(std::to_string(nodes))
+      .append("n]");
 }
 
 /// Simulated end-to-end hierarchical-pipeline time for `reads` reads on

@@ -425,11 +425,15 @@ void encode_sketches(mr::recovery::PayloadWriter& writer,
 }
 
 kernels::SketchMatrix decode_sketches(mr::recovery::PayloadReader& reader) {
-  const std::size_t rows = reader.u64();
+  const std::size_t rows = reader.count(8);
   kernels::SketchMatrix sketches;
   for (std::size_t i = 0; i < rows; ++i) {
-    const std::size_t cols = reader.u64();
-    if (i == 0) sketches = kernels::SketchMatrix(rows, cols);
+    const std::size_t cols = reader.count(8);
+    if (i == 0) {
+      // Every later row holds its cols field and cols components.
+      reader.fits(rows - 1, 8 * (cols + 1));
+      sketches = kernels::SketchMatrix(rows, cols);
+    }
     // A ragged payload cannot be a sketch table: treat it as corrupt.
     if (cols != sketches.cols()) throw common::Error("ragged sketch payload");
     for (std::uint64_t& component : sketches.row(i)) component = reader.u64();
@@ -444,7 +448,7 @@ void encode_labels(mr::recovery::PayloadWriter& writer,
 }
 
 std::vector<int> decode_labels(mr::recovery::PayloadReader& reader) {
-  std::vector<int> labels(reader.u64());
+  std::vector<int> labels(reader.count(8));
   for (int& label : labels) label = static_cast<int>(reader.i64());
   return labels;
 }
@@ -464,7 +468,7 @@ CandidateJobResult decode_candidates(mr::recovery::PayloadReader& reader) {
   CandidateJobResult candidates;  // stats stay empty: the job never ran
   candidates.shape.bands = reader.u64();
   candidates.shape.rows = reader.u64();
-  candidates.pairs.resize(reader.u64());
+  candidates.pairs.resize(reader.count(8));
   for (auto& [a, b] : candidates.pairs) {
     a = reader.u32();
     b = reader.u32();
@@ -487,7 +491,7 @@ candidates::SparseSimilarityGraph decode_graph(
     mr::recovery::PayloadReader& reader) {
   candidates::SparseSimilarityGraph graph;
   graph.num_vertices = reader.u64();
-  graph.edges.resize(reader.u64());
+  graph.edges.resize(reader.count(16));
   for (candidates::Edge& edge : graph.edges) {
     edge.a = reader.u32();
     edge.b = reader.u32();
@@ -506,7 +510,8 @@ void encode_matrix(mr::recovery::PayloadWriter& writer,
 }
 
 SimilarityMatrix decode_matrix(mr::recovery::PayloadReader& reader) {
-  const std::size_t n = reader.u64();
+  const std::size_t n = reader.count(4);
+  reader.fits(n, 4 * n);  // n rows of n floats
   SimilarityMatrix matrix(n, 0.0F);
   float* data = matrix.mutable_data();
   for (std::size_t i = 0; i < n * n; ++i) data[i] = reader.f32();
@@ -855,9 +860,7 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
     // A crashed/parked/exhausted driver still leaves complete artifacts
     // behind — the resume run's doctor needs this run's trace.
     result.recovery = driver.stats();
-    tracer.flush();
-    obs::Registry::write_global_if_configured();
-    obs::pipeline::ReportSink::global().flush();
+    obs::pipeline::flush_boundary();
     throw;
   }
   result.recovery = driver.stats();
@@ -878,9 +881,7 @@ PipelineResult run_pipeline(std::span<const bio::FastaRecord> reads,
   // Honor MRMC_TRACE / MRMC_METRICS / MRMC_REPORT / MRMC_PIPELINE at every
   // pipeline boundary so even a caller that exits abnormally afterwards has
   // a complete artifact.
-  tracer.flush();
-  obs::Registry::write_global_if_configured();
-  obs::pipeline::ReportSink::global().flush();
+  obs::pipeline::flush_boundary();
   return result;
 }
 

@@ -108,6 +108,13 @@ void PayloadReader::need(std::size_t count) {
   }
 }
 
+void PayloadReader::fits(std::uint64_t count,
+                         std::uint64_t element_bytes) const {
+  if (element_bytes != 0 && count > (bytes_.size() - pos_) / element_bytes) {
+    throw common::Error("checkpoint payload count exceeds its bytes");
+  }
+}
+
 std::uint32_t PayloadReader::u32() {
   need(4);
   std::uint32_t value = 0;

@@ -2,7 +2,7 @@
 //
 // PR 4 made *task*-level failure survivable (kill-and-requeue, lost-output
 // re-execution); this layer does the same for the *driver*.  A pipeline
-// driver (core::run_pipeline, pig's algorithm3, or a future iterative
+// driver (core::run_pipeline, pig's run_script, or a future iterative
 // connected-components driver) wraps each stage in
 // StageDriver::run_stage(stage, compute, encode, decode):
 //
@@ -153,6 +153,19 @@ class PayloadReader {
   [[nodiscard]] double f64();
   [[nodiscard]] float f32();
   [[nodiscard]] std::string str();
+
+  /// Throw common::Error when `count` elements of at least `element_bytes`
+  /// encoded bytes each cannot fit in the bytes left.
+  void fits(std::uint64_t count, std::uint64_t element_bytes) const;
+
+  /// A u64 element count checked by fits(): the one way a decoder reads a
+  /// size it allocates from, so a wild count is a corrupt checkpoint rather
+  /// than a huge allocation.
+  [[nodiscard]] std::size_t count(std::uint64_t element_bytes) {
+    const std::uint64_t value = u64();
+    fits(value, element_bytes);
+    return static_cast<std::size_t>(value);
+  }
 
   /// True when every payload byte has been consumed — the driver requires
   /// this after decode, so a payload/decoder mismatch reads as corruption.

@@ -10,6 +10,7 @@
 #include "common/timer.hpp"
 #include "obs/format.hpp"
 #include "obs/log.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mrmc::obs::pipeline {
@@ -746,6 +747,12 @@ bool ReportSink::flush() const {
     return false;
   }
   return wrote;
+}
+
+void flush_boundary() {
+  Tracer::global().flush();
+  Registry::write_global_if_configured();
+  ReportSink::global().flush();
 }
 
 }  // namespace mrmc::obs::pipeline

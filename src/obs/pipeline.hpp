@@ -268,8 +268,7 @@ struct PipelineReport {
 /// tracer writes a file only when MRMC_TRACE names one — and flush() builds
 /// each report from the tracer's events with jobs_from_trace /
 /// pipelines_from_trace, the code `mrmc_doctor` runs on a trace file.
-/// Flushed at pipeline boundaries (core::run_pipeline, pig's
-/// run_algorithm3) and at process exit.
+/// Flushed at pipeline boundaries (flush_boundary) and at process exit.
 class ReportSink {
  public:
   static ReportSink& global();  ///< first use reads MRMC_REPORT / MRMC_PIPELINE
@@ -293,5 +292,10 @@ class ReportSink {
   std::string report_path_;
   std::string pipeline_path_;
 };
+
+/// Write MRMC_TRACE, MRMC_METRICS and both ReportSink reports at a pipeline
+/// boundary.  Drivers call it on the exception path too, so a crashed run
+/// still leaves the trace its resume run's doctor needs.
+void flush_boundary();
 
 }  // namespace mrmc::obs::pipeline

@@ -5,11 +5,9 @@
 
 #include "bio/fasta.hpp"
 #include "common/error.hpp"
-#include "mr/bytes.hpp"
-#include "mr/recovery.hpp"
-#include "obs/log.hpp"
 #include "obs/pipeline.hpp"
 #include "obs/trace.hpp"
+#include "pig/script.hpp"
 
 namespace mrmc::pig {
 
@@ -84,6 +82,19 @@ Relation PigContext::load_fasta(const std::string& path) {
   return relation;
 }
 
+template <typename Job>
+auto PigContext::run_indexed(Job& job, const Relation& input) {
+  std::vector<IndexedTuple> indexed;
+  indexed.reserve(input.size());
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    indexed.push_back({static_cast<long>(i), input[i]});
+  }
+  auto result = job.run(indexed);
+  sim_time_s_ += result.stats.timeline.total_s;
+  jobs_.push_back(std::move(result.stats));
+  return std::move(result.output);
+}
+
 Relation PigContext::foreach_generate(const Relation& input, const Udf& udf) {
   obs::Tracer::Span span(obs::Tracer::global(),
                          std::string("pig FOREACH..GENERATE ") + udf.name(),
@@ -110,20 +121,12 @@ Relation PigContext::foreach_generate(const Relation& input, const Udf& udf) {
         out.emplace_back(key, std::move(values.front()));
       });
 
-  std::vector<IndexedTuple> indexed;
-  indexed.reserve(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    indexed.push_back({static_cast<long>(i), input[i]});
-  }
-  auto result = job.run(indexed);
-  sim_time_s_ += result.stats.timeline.total_s;
-  jobs_.push_back(std::move(result.stats));
-
-  std::sort(result.output.begin(), result.output.end(),
+  auto output = run_indexed(job, input);
+  std::sort(output.begin(), output.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   Relation relation;
-  relation.reserve(result.output.size());
-  for (auto& [key, tuple] : result.output) relation.push_back(std::move(tuple));
+  relation.reserve(output.size());
+  for (auto& [key, tuple] : output) relation.push_back(std::move(tuple));
   return relation;
 }
 
@@ -150,16 +153,7 @@ Relation PigContext::group_all(const Relation& input) {
         group.fields.emplace_back(std::move(bag));
         out.push_back(std::move(group));
       });
-
-  std::vector<IndexedTuple> indexed;
-  indexed.reserve(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    indexed.push_back({static_cast<long>(i), input[i]});
-  }
-  auto result = job.run(indexed);
-  sim_time_s_ += result.stats.timeline.total_s;
-  jobs_.push_back(std::move(result.stats));
-  return std::move(result.output);
+  return run_indexed(job, input);
 }
 
 namespace {
@@ -208,22 +202,13 @@ Relation PigContext::group_by(const Relation& input, std::size_t field) {
         out.push_back(std::move(group));
       });
 
-  std::vector<IndexedTuple> indexed;
-  indexed.reserve(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    indexed.push_back({static_cast<long>(i), input[i]});
-  }
-  auto result = job.run(indexed);
-  sim_time_s_ += result.stats.timeline.total_s;
-  jobs_.push_back(std::move(result.stats));
-
   // Reducer partitions emit in partition order; normalize by key for
   // deterministic output.
-  std::sort(result.output.begin(), result.output.end(),
-            [field](const Tuple& a, const Tuple& b) {
-              return group_key(a, 0) < group_key(b, 0);
-            });
-  return std::move(result.output);
+  Relation output = run_indexed(job, input);
+  std::sort(output.begin(), output.end(), [](const Tuple& a, const Tuple& b) {
+    return group_key(a, 0) < group_key(b, 0);
+  });
+  return output;
 }
 
 void PigContext::store(const Relation& relation, const std::string& path) {
@@ -233,214 +218,39 @@ void PigContext::store(const Relation& relation, const std::string& path) {
   dfs_->write(path, out.str());
 }
 
-namespace {
-
-// -------------------------------------------- checkpoint (de)serialization
-// Relations as mr::recovery checkpoint payloads.  Values round-trip through
-// their variant index, recursively for bags, so a decoded relation is
-// field-for-field identical to the encoded one (doubles as raw IEEE bits).
-
-void encode_value(mr::recovery::PayloadWriter& writer, const Value& value);
-Value decode_value(mr::recovery::PayloadReader& reader);
-
-void encode_tuple(mr::recovery::PayloadWriter& writer, const Tuple& tuple) {
-  writer.u64(tuple.fields.size());
-  for (const Value& value : tuple.fields) encode_value(writer, value);
-}
-
-Tuple decode_tuple(mr::recovery::PayloadReader& reader) {
-  Tuple tuple;
-  tuple.fields.resize(reader.u64());
-  for (Value& value : tuple.fields) value = decode_value(reader);
-  return tuple;
-}
-
-void encode_value(mr::recovery::PayloadWriter& writer, const Value& value) {
-  writer.u32(static_cast<std::uint32_t>(value.index()));
-  std::visit(
-      [&writer](const auto& field) {
-        using T = std::decay_t<decltype(field)>;
-        if constexpr (std::is_same_v<T, std::string>) {
-          writer.str(field);
-        } else if constexpr (std::is_same_v<T, long>) {
-          writer.i64(field);
-        } else if constexpr (std::is_same_v<T, double>) {
-          writer.f64(field);
-        } else if constexpr (std::is_same_v<T, std::vector<long>>) {
-          writer.u64(field.size());
-          for (const long element : field) writer.i64(element);
-        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
-          writer.u64(field.size());
-          for (const double element : field) writer.f64(element);
-        } else {  // Bag
-          writer.u64(field.size());
-          for (const Tuple& element : field) encode_tuple(writer, element);
-        }
-      },
-      value);
-}
-
-Value decode_value(mr::recovery::PayloadReader& reader) {
-  switch (reader.u32()) {
-    case 0: return Value(reader.str());
-    case 1: return Value(static_cast<long>(reader.i64()));
-    case 2: return Value(reader.f64());
-    case 3: {
-      std::vector<long> list(reader.u64());
-      for (long& element : list) element = static_cast<long>(reader.i64());
-      return Value(std::move(list));
-    }
-    case 4: {
-      std::vector<double> list(reader.u64());
-      for (double& element : list) element = reader.f64();
-      return Value(std::move(list));
-    }
-    case 5: {
-      Bag bag(reader.u64());
-      for (Tuple& element : bag) element = decode_tuple(reader);
-      return Value(std::move(bag));
-    }
-    default:
-      throw common::Error("pig checkpoint: unknown value tag");
-  }
-}
-
-void encode_relation(mr::recovery::PayloadWriter& writer,
-                     const Relation& relation) {
-  writer.u64(relation.size());
-  for (const Tuple& tuple : relation) encode_tuple(writer, tuple);
-}
-
-Relation decode_relation(mr::recovery::PayloadReader& reader) {
-  Relation relation(reader.u64());
-  for (Tuple& tuple : relation) tuple = decode_tuple(reader);
-  return relation;
-}
-
-std::uint64_t algorithm3_params_fingerprint(const Algorithm3Params& params) {
-  mr::StableHasher hasher;
-  mr::stable_hash_append(hasher, params.kmer);
-  mr::stable_hash_append(hasher, params.num_hashes);
-  mr::stable_hash_append(hasher, params.seed);
-  mr::stable_hash_append(hasher, params.cutoff);
-  mr::stable_hash_append(hasher, static_cast<int>(params.linkage));
-  mr::stable_hash_append(hasher, static_cast<int>(params.estimator));
-  mr::stable_hash_append(hasher, static_cast<int>(params.greedy_estimator));
-  return hasher.finish();
-}
-
-std::uint64_t relation_fingerprint(const Relation& relation) {
-  mr::StableHasher hasher;
-  mr::stable_hash_append(hasher, static_cast<std::uint64_t>(relation.size()));
-  for (const Tuple& tuple : relation) {
-    mr::stable_hash_append(hasher, to_text(tuple));
-  }
-  return hasher.finish();
-}
-
-}  // namespace
-
 Algorithm3Result run_algorithm3(mr::SimDfs& dfs, const std::string& input_path,
                                 const std::string& out_hier,
                                 const std::string& out_greedy,
                                 const Algorithm3Params& params,
                                 const mr::ClusterConfig& cluster,
                                 std::size_t threads) {
-  obs::Tracer::Span script_span(obs::Tracer::global(), "pig script algorithm3",
-                                {{"input", input_path}});
-  obs::pipeline::PipelineScope lineage("algorithm3");
   PigContext ctx(&dfs, cluster, threads);
-
-  // Step 1: A = LOAD '$INPUT' USING FastaStorage ...  Never checkpointed:
-  // LOAD is a local parse (no MR job) and its bytes feed the input
-  // fingerprint, so a changed input invalidates every downstream stage.
-  const Relation a = ctx.load_fasta(input_path);
-
-  // Recovery driver, configured purely from the environment so the signature
-  // stays stable: MRMC_CHECKPOINT_DIR arms checkpointing, and the chaos
-  // hooks (MRMC_CRASH_AFTER_STAGE / MRMC_FAIL_STAGE) work here exactly as in
-  // core::run_pipeline.  Stage names mirror the lineage stage each operator
-  // claims, so a checkpoint hit re-claims the identical (stage, sequence)
-  // slot an uninterrupted run would; with sequence numbers in both the key
-  // chain and the file name, the twice-run "group-all" cannot collide.
-  mr::recovery::StageDriver::Options driver_options;
-  driver_options.label = "algorithm3";
-  driver_options =
-      mr::recovery::StageDriver::Options::from_env(driver_options);
-  if (!driver_options.checkpoint_dir.empty()) {
-    driver_options.params_fingerprint = algorithm3_params_fingerprint(params);
-    driver_options.input_fingerprint = relation_fingerprint(a);
-  }
-  mr::recovery::StageDriver driver(driver_options);
-  const auto stage = [&driver](const char* name, auto compute) {
-    return driver.run_stage(name, std::move(compute), encode_relation,
-                            decode_relation);
-  };
-
-  // Step 2: B = FOREACH A GENERATE FLATTEN(StringGenerator(seq, readid))
-  const Relation b = stage("foreach-StringGenerator", [&] {
-    return ctx.foreach_generate(a, StringGenerator{});
-  });
-  // Step 3: C = FOREACH B GENERATE FLATTEN(TranslateToKmer(seq, id, $KMER))
-  const Relation c = stage("foreach-TranslateToKmer", [&] {
-    return ctx.foreach_generate(b, TranslateToKmer{params.kmer});
-  });
-  // Step 4: E = FOREACH C GENERATE FLATTEN(CalculateMinwiseHash(...))
-  const Relation e = stage("foreach-CalculateMinwiseHash", [&] {
-    return ctx.foreach_generate(
-        c, CalculateMinwiseHash{params.num_hashes, params.kmer, params.seed});
-  });
-  // Step 6: I = GROUP E ALL
-  const Relation grouped =
-      stage("group-all", [&] { return ctx.group_all(e); });
-  // Step 7: J = FOREACH I GENERATE FLATTEN(CalculatePairwiseSimilarity(...))
-  const Relation j = stage("foreach-CalculatePairwiseSimilarity", [&] {
-    return ctx.foreach_generate(grouped,
-                                CalculatePairwiseSimilarity{params.estimator});
-  });
-  // Step 8: K = FOREACH (GROUP J ALL) GENERATE
-  //             FLATTEN(AgglomerativeHierarchicalClustering(...))
-  // Two driver stages (the script runs two jobs) so a resumed run claims
-  // the same number of lineage slots as an uninterrupted one.
-  const Relation grouped_j =
-      stage("group-all", [&] { return ctx.group_all(j); });
-  const Relation k =
-      stage("foreach-AgglomerativeHierarchicalClustering", [&] {
-        return ctx.foreach_generate(
-            grouped_j, AgglomerativeHierarchicalClustering{params.linkage,
-                                                           params.cutoff});
-      });
-  // Step 9: L = FOREACH I GENERATE FLATTEN(GreedyClustering(...))
-  const Relation l = stage("foreach-GreedyClustering", [&] {
-    return ctx.foreach_generate(
-        grouped, GreedyClustering{params.cutoff, params.greedy_estimator});
-  });
-  // Steps 10-11: STORE K INTO '$OUTPUT1'; STORE L INTO '$OUTPUT2'.  Stores
-  // always run — re-materializing output from checkpoints is the point of a
-  // resume.
-  ctx.store(k, out_hier);
-  ctx.store(l, out_greedy);
+  const ScriptResult script = run_script(
+      ctx, algorithm3_script(),
+      {{"INPUT", input_path},
+       {"KMER", std::to_string(params.kmer)},
+       {"NUMHASH", std::to_string(params.num_hashes)},
+       {"DIV", "0"},
+       {"LINK", core::linkage_name(params.linkage)},
+       {"CUTOFF", obs::trace_double(params.cutoff)},  // round-trip exact
+       {"OUTPUT1", out_hier},
+       {"OUTPUT2", out_greedy}},
+      params.seed, "algorithm3");
 
   Algorithm3Result result;
-  result.sim_time_s = ctx.sim_time_s();
-  result.jobs_run = ctx.job_history().size();
-  result.recovery = driver.stats();
-  for (const Tuple& tuple : k) {
-    result.hierarchical.emplace_back(tuple.get<std::string>(0),
-                                     static_cast<int>(tuple.get<long>(1)));
-  }
-  for (const Tuple& tuple : l) {
-    result.greedy.emplace_back(tuple.get<std::string>(0),
-                               static_cast<int>(tuple.get<long>(1)));
-  }
-
-  static const obs::Logger logger("pig");
-  logger.info("algorithm3 finished", {{"jobs", result.jobs_run},
-                                      {"sim_time_s", result.sim_time_s},
-                                      {"hier_tuples", result.hierarchical.size()},
-                                      {"greedy_tuples", result.greedy.size()}});
-  obs::Tracer::global().flush();
-  obs::pipeline::ReportSink::global().flush();
+  result.sim_time_s = script.sim_time_s;
+  result.jobs_run = script.jobs_run;
+  result.recovery = script.recovery;
+  const auto labels = [&script](const char* alias) {
+    std::vector<std::pair<std::string, int>> out;
+    for (const Tuple& tuple : script.relations.at(alias)) {
+      out.emplace_back(tuple.get<std::string>(0),
+                       static_cast<int>(tuple.get<long>(1)));
+    }
+    return out;
+  };
+  result.hierarchical = labels("K");
+  result.greedy = labels("L");
   return result;
 }
 

@@ -1,8 +1,10 @@
 // PigContext — a miniature Pig Latin runtime.  Each dataflow operator
-// (LOAD / FOREACH..GENERATE..FLATTEN / GROUP ALL / STORE) executes as a
-// MapReduce job on the simulated cluster, exactly how Pig plans scripts
-// onto Hadoop.  Job statistics and simulated timelines accumulate in the
-// context for reporting.
+// (LOAD / FOREACH..GENERATE..FLATTEN / GROUP ALL / GROUP BY / STORE) runs
+// on the simulated cluster the way Pig plans scripts onto Hadoop: FOREACH
+// and GROUP are one MapReduce job each, LOAD and STORE are DFS reads and
+// writes.  Job statistics and simulated time accumulate in the context.
+// Scripts drive a context through run_script (pig/script.hpp), the one pig
+// driver; run_algorithm3 below is the paper's script run through it.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +57,11 @@ class PigContext {
  private:
   mr::JobConfig make_config(const std::string& name, std::size_t reducers) const;
 
+  /// Run `job` over `input`, each tuple keyed by its index (the order every
+  /// operator restores), and record the job's statistics.
+  template <typename Job>
+  auto run_indexed(Job& job, const Relation& input);
+
   mr::SimDfs* dfs_;
   mr::ClusterConfig cluster_;
   std::size_t threads_;
@@ -69,8 +76,6 @@ struct Algorithm3Params {
   std::uint64_t seed = 1;         ///< seeds the hash family ($DIV analogue)
   double cutoff = 0.9;            ///< $CUTOFF
   core::Linkage linkage = core::Linkage::kAverage;  ///< $LINK
-  core::SketchEstimator estimator = core::SketchEstimator::kComponentMatch;
-  core::SketchEstimator greedy_estimator = core::SketchEstimator::kSetBased;
 };
 
 struct Algorithm3Result {
@@ -84,10 +89,11 @@ struct Algorithm3Result {
   mr::recovery::RecoveryStats recovery;  ///< checkpoint hits/misses/retries
 };
 
-/// Execute Algorithm 3 end to end: LOAD -> StringGenerator ->
-/// TranslateToKmer -> CalculateMinwiseHash -> GROUP ALL ->
-/// {CalculatePairwiseSimilarity -> AgglomerativeHierarchicalClustering,
-///  GreedyClustering} -> STORE into `out_hier` / `out_greedy`.
+/// Execute Algorithm 3 end to end: run algorithm3_script() through
+/// run_script with `params` as its $-parameters ($DIV = 0, so `seed` alone
+/// seeds the hash family), storing into `out_hier` / `out_greedy`, under the
+/// driver and lineage label "algorithm3".  Relations K and L become the
+/// result's labels.
 Algorithm3Result run_algorithm3(mr::SimDfs& dfs, const std::string& input_path,
                                 const std::string& out_hier,
                                 const std::string& out_greedy,

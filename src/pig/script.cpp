@@ -6,6 +6,10 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "mr/bytes.hpp"
+#include "obs/log.hpp"
+#include "obs/pipeline.hpp"
+#include "obs/trace.hpp"
 
 namespace mrmc::pig {
 
@@ -387,15 +391,119 @@ bool compare_values(const Value& a, const Value& b) {
   return false;  // lists/bags: stable order
 }
 
-}  // namespace
+// -------------------------------------------- checkpoint (de)serialization
+// Relations as mr::recovery checkpoint payloads.  Values round-trip through
+// their variant index, recursively for bags, so a decoded relation is
+// field-for-field identical to the encoded one (doubles as raw IEEE bits).
+// Every count is bounded by the smallest encoding of what it counts: a
+// tuple is at least its u64 field count, a value at least its u32 tag plus
+// eight bytes.  Each GROUP nests one bag level, so real relations stay far
+// below kMaxBagDepth, and a forged payload cannot recurse the stack away.
 
-ScriptResult run_script(PigContext& context, std::string_view text,
-                        const std::map<std::string, std::string>& params,
-                        std::uint64_t udf_seed) {
-  const std::string resolved = substitute_parameters(text, params);
-  const auto statements = parse_script(resolved);
+constexpr std::uint64_t kMinTupleBytes = 8;
+constexpr std::uint64_t kMinValueBytes = 12;
+constexpr int kMaxBagDepth = 64;
 
-  ScriptResult result;
+void encode_value(mr::recovery::PayloadWriter& writer, const Value& value);
+Value decode_value(mr::recovery::PayloadReader& reader, int depth);
+
+void encode_tuple(mr::recovery::PayloadWriter& writer, const Tuple& tuple) {
+  writer.u64(tuple.fields.size());
+  for (const Value& value : tuple.fields) encode_value(writer, value);
+}
+
+Tuple decode_tuple(mr::recovery::PayloadReader& reader, int depth) {
+  Tuple tuple;
+  tuple.fields.resize(reader.count(kMinValueBytes));
+  for (Value& value : tuple.fields) value = decode_value(reader, depth);
+  return tuple;
+}
+
+void encode_value(mr::recovery::PayloadWriter& writer, const Value& value) {
+  writer.u32(static_cast<std::uint32_t>(value.index()));
+  std::visit(
+      [&writer](const auto& field) {
+        using T = std::decay_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          writer.str(field);
+        } else if constexpr (std::is_same_v<T, long>) {
+          writer.i64(field);
+        } else if constexpr (std::is_same_v<T, double>) {
+          writer.f64(field);
+        } else if constexpr (std::is_same_v<T, std::vector<long>>) {
+          writer.u64(field.size());
+          for (const long element : field) writer.i64(element);
+        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+          writer.u64(field.size());
+          for (const double element : field) writer.f64(element);
+        } else {  // Bag
+          writer.u64(field.size());
+          for (const Tuple& element : field) encode_tuple(writer, element);
+        }
+      },
+      value);
+}
+
+Value decode_value(mr::recovery::PayloadReader& reader, int depth) {
+  switch (reader.u32()) {
+    case 0: return Value(reader.str());
+    case 1: return Value(static_cast<long>(reader.i64()));
+    case 2: return Value(reader.f64());
+    case 3: {
+      std::vector<long> list(reader.count(8));
+      for (long& element : list) element = static_cast<long>(reader.i64());
+      return Value(std::move(list));
+    }
+    case 4: {
+      std::vector<double> list(reader.count(8));
+      for (double& element : list) element = reader.f64();
+      return Value(std::move(list));
+    }
+    case 5: {
+      if (depth == kMaxBagDepth) {
+        throw common::Error("pig checkpoint: bags nested too deep");
+      }
+      Bag bag(reader.count(kMinTupleBytes));
+      for (Tuple& element : bag) element = decode_tuple(reader, depth + 1);
+      return Value(std::move(bag));
+    }
+    default:
+      throw common::Error("pig checkpoint: unknown value tag");
+  }
+}
+
+void encode_relation(mr::recovery::PayloadWriter& writer,
+                     const Relation& relation) {
+  writer.u64(relation.size());
+  for (const Tuple& tuple : relation) encode_tuple(writer, tuple);
+}
+
+Relation decode_relation(mr::recovery::PayloadReader& reader) {
+  Relation relation(reader.count(kMinTupleBytes));
+  for (Tuple& tuple : relation) tuple = decode_tuple(reader, 0);
+  return relation;
+}
+
+// ------------------------------------------------------------ fingerprints
+
+/// The bytes of every LOADed path as the run starts (a path the script
+/// itself STOREs before loading is covered by the upstream stages).
+std::uint64_t input_fingerprint(mr::SimDfs& dfs,
+                                const std::vector<Statement>& statements) {
+  mr::StableHasher hasher;
+  for (const Statement& statement : statements) {
+    if (statement.kind == Statement::Kind::kLoad &&
+        dfs.exists(statement.source)) {
+      mr::stable_hash_append(hasher, dfs.read(statement.source));
+    }
+  }
+  return hasher.finish();
+}
+
+void run_statements(PigContext& context,
+                    const std::vector<Statement>& statements,
+                    std::uint64_t udf_seed,
+                    mr::recovery::StageDriver& driver, ScriptResult& result) {
   int last_kmer = 5;  // TranslateToKmer updates this for CalculateMinwiseHash
 
   auto relation_of = [&](const std::string& alias) -> const Relation& {
@@ -405,6 +513,13 @@ ScriptResult run_script(PigContext& context, std::string_view text,
     }
     return it->second;
   };
+  // One driver stage per MapReduce job, named after the lineage stage the
+  // job claims, so a checkpoint hit re-claims the (stage, sequence) slot an
+  // uninterrupted run would.
+  const auto stage = [&driver](const std::string& name, auto compute) {
+    return driver.run_stage(name, std::move(compute), encode_relation,
+                            decode_relation);
+  };
 
   for (const auto& statement : statements) {
     switch (statement.kind) {
@@ -413,23 +528,32 @@ ScriptResult run_script(PigContext& context, std::string_view text,
         break;
       case Statement::Kind::kForeach: {
         const Relation* input = &relation_of(statement.source);
+        // Built before the stage so a bad call fails as InvalidArgument
+        // rather than being retried.
+        const auto udf = make_udf(statement, udf_seed, &last_kmer);
         Relation grouped;
         if (statement.inner_group_all) {
-          grouped = context.group_all(*input);
+          grouped = stage("group-all", [&] { return context.group_all(*input); });
           input = &grouped;
         }
-        const auto udf = make_udf(statement, udf_seed, &last_kmer);
-        result.relations[statement.target] = context.foreach_generate(*input, *udf);
+        result.relations[statement.target] =
+            stage(std::string("foreach-") + udf->name(),
+                  [&] { return context.foreach_generate(*input, *udf); });
         break;
       }
-      case Statement::Kind::kGroupAll:
+      case Statement::Kind::kGroupAll: {
+        const Relation& input = relation_of(statement.source);
         result.relations[statement.target] =
-            context.group_all(relation_of(statement.source));
+            stage("group-all", [&] { return context.group_all(input); });
         break;
-      case Statement::Kind::kGroupBy:
-        result.relations[statement.target] =
-            context.group_by(relation_of(statement.source), statement.field);
+      }
+      case Statement::Kind::kGroupBy: {
+        const Relation& input = relation_of(statement.source);
+        result.relations[statement.target] = stage("group-by", [&] {
+          return context.group_by(input, statement.field);
+        });
         break;
+      }
       case Statement::Kind::kDistinct: {
         const Relation& input = relation_of(statement.source);
         Relation output;
@@ -492,8 +616,48 @@ ScriptResult run_script(PigContext& context, std::string_view text,
         break;
     }
   }
+}
+
+}  // namespace
+
+ScriptResult run_script(PigContext& context, std::string_view text,
+                        const std::map<std::string, std::string>& params,
+                        std::uint64_t udf_seed, const std::string& label) {
+  const std::string resolved = substitute_parameters(text, params);
+  const auto statements = parse_script(resolved);
+
+  obs::Tracer::Span span(obs::Tracer::global(), "pig script " + label,
+                         {{"statements", std::to_string(statements.size())}});
+  obs::pipeline::PipelineScope lineage(label);
+  mr::recovery::StageDriver::Options driver_options;
+  driver_options.label = label;
+  driver_options =
+      mr::recovery::StageDriver::Options::from_env(driver_options);
+  if (!driver_options.checkpoint_dir.empty()) {
+    // The resolved text holds every statement; the seed drives the UDFs.
+    driver_options.params_fingerprint =
+        mr::stable_hash(std::make_pair(resolved, udf_seed));
+    driver_options.input_fingerprint =
+        input_fingerprint(context.dfs(), statements);
+  }
+  mr::recovery::StageDriver driver(driver_options);
+
+  ScriptResult result;
+  try {
+    run_statements(context, statements, udf_seed, driver, result);
+  } catch (...) {
+    obs::pipeline::flush_boundary();
+    throw;
+  }
   result.sim_time_s = context.sim_time_s();
   result.jobs_run = context.job_history().size();
+  result.recovery = driver.stats();
+
+  static const obs::Logger logger("pig");
+  logger.info("script finished", {{"pipeline", lineage.id()},
+                                  {"jobs", result.jobs_run},
+                                  {"sim_time_s", result.sim_time_s}});
+  obs::pipeline::flush_boundary();
   return result;
 }
 

@@ -17,6 +17,16 @@
 // Comments start with "--".  UDF argument lists may reference fields by
 // name (ignored — the paper's UDFs read positional fields) while numeric /
 // $-parameters configure the UDF.
+//
+// run_script is pig's one driver.  It opens a lineage PipelineScope and
+// runs every statement that plans to a MapReduce job — FOREACH, GROUP ALL,
+// GROUP BY, and the inline (GROUP x ALL) of a FOREACH — as one
+// mr::recovery::StageDriver stage named after its lineage stage
+// ("foreach-<Udf>", "group-all", "group-by").  So MRMC_CHECKPOINT_DIR,
+// MRMC_CRASH_AFTER_STAGE and MRMC_FAIL_STAGE work on any script exactly as
+// on core::run_pipeline.  LOAD, DISTINCT, ORDER, LIMIT and FILTER are local
+// and never checkpointed; STORE always runs, so a resumed script still
+// materializes its outputs.
 #pragma once
 
 #include <map>
@@ -24,6 +34,7 @@
 #include <string_view>
 #include <vector>
 
+#include "mr/recovery.hpp"
 #include "pig/pig.hpp"
 
 namespace mrmc::pig {
@@ -65,17 +76,23 @@ std::string substitute_parameters(std::string_view text,
 struct ScriptResult {
   std::map<std::string, Relation> relations;  ///< every named alias
   std::vector<std::string> stored_paths;      ///< STORE targets, in order
+  /// Simulated time / job count accumulated on the context; stages served
+  /// from checkpoint run no job.
   double sim_time_s = 0.0;
   std::size_t jobs_run = 0;
+  mr::recovery::RecoveryStats recovery;  ///< checkpoint hits/misses/retries
 };
 
 /// Execute a script (after parameter substitution) on a context.  The UDF
 /// registry covers the paper's six functions; `udf_seed` seeds
 /// CalculateMinwiseHash's hash family (the $DIV argument of the paper is
-/// folded into it).
+/// folded into it).  `label` names the lineage pipeline ("<label>#<serial>"
+/// in the doctor) and prefixes the checkpoint files.  Checkpoints are keyed
+/// by the resolved text, `udf_seed` and the bytes of every LOADed path.
 ScriptResult run_script(PigContext& context, std::string_view text,
                         const std::map<std::string, std::string>& params = {},
-                        std::uint64_t udf_seed = 1);
+                        std::uint64_t udf_seed = 1,
+                        const std::string& label = "script");
 
 /// The paper's Algorithm 3 script, verbatim (with $-parameters).
 std::string_view algorithm3_script();

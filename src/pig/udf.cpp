@@ -113,64 +113,23 @@ Bag CalculatePairwiseSimilarity::exec(const Tuple& input) const {
     sketches.push_back(to_sketch(tuple.get<std::vector<long>>(0)));
   }
 
-  // Minwise tuples in a group all come from the same CalculateMinwiseHash, so
-  // the sketches are uniform in practice: pre-sort each once (set-based) or
-  // run the batched equality kernel (component-match).  Ragged groups fall
-  // back to the legacy per-pair estimator.
-  const bool uniform = std::all_of(
-      sketches.begin(), sketches.end(), [&](const core::Sketch& s) {
-        return s.size() == sketches.front().size();
-      });
-  // LSH-banded candidate generation: score only bucket-mate pairs via the
-  // shared candidates layer; everything else keeps its 0 cell.  Ragged
-  // groups (never produced by CalculateMinwiseHash) cannot be banded and
-  // fall through to the exact path below.
-  if (candidates_.backend == core::candidates::Backend::kLshBanded && uniform &&
-      !sketches.empty() && !sketches.front().empty()) {
-    const auto matrix = core::kernels::SketchMatrix::from_sketches(
-        std::span<const core::Sketch>(sketches));
-    const core::candidates::SparseSimilarityGraph graph =
-        core::candidates::build_graph(matrix, candidates_, theta_, estimator_);
-    std::vector<std::vector<double>> sims(sketches.size());
-    for (std::size_t i = 0; i < sketches.size(); ++i) {
-      sims[i].assign(sketches.size() - i - 1, 0.0);
-    }
-    for (const auto& edge : graph.edges) {
-      sims[edge.a][edge.b - edge.a - 1] = edge.similarity;
-    }
-    Bag rows;
-    rows.reserve(group.size());
-    for (std::size_t i = 0; i < sketches.size(); ++i) {
-      Tuple row;
-      row.fields.emplace_back(static_cast<long>(i));
-      row.fields.emplace_back(std::move(sims[i]));
-      row.fields.push_back(group[i].fields.at(1));  // read id
-      rows.push_back(std::move(row));
-    }
-    return rows;
-  }
-
-  const core::SortedSketchStore store =
-      uniform && estimator_ == core::SketchEstimator::kSetBased
-          ? core::SortedSketchStore(std::span<const core::Sketch>(sketches))
-          : core::SortedSketchStore();
-  auto pair_sim = [&](std::size_t i, std::size_t j) {
-    if (!uniform) return core::sketch_similarity(sketches[i], sketches[j], estimator_);
-    if (estimator_ == core::SketchEstimator::kSetBased) return store.jaccard(i, j);
-    return core::component_match_similarity(sketches[i], sketches[j]);
-  };
+  // Core's all-pairs matrix, or the densified LSH candidate graph (absent
+  // pairs stay 0): the same similarity code run_pipeline uses.
+  const core::SimilarityMatrix matrix =
+      candidates_.backend == core::candidates::Backend::kLshBanded
+          ? core::similarity_matrix_from_graph(core::candidates::build_graph(
+                core::kernels::SketchMatrix::from_sketches(sketches),
+                candidates_, theta_, estimator_))
+          : core::pairwise_similarity_matrix(
+                std::span<const core::Sketch>(sketches), estimator_);
 
   Bag rows;
   rows.reserve(group.size());
   for (std::size_t i = 0; i < sketches.size(); ++i) {
-    std::vector<double> sims;
-    sims.reserve(sketches.size() - i - 1);
-    for (std::size_t j = i + 1; j < sketches.size(); ++j) {
-      sims.push_back(pair_sim(i, j));
-    }
+    const auto upper = matrix.row(i).subspan(i + 1);
     Tuple row;
     row.fields.emplace_back(static_cast<long>(i));
-    row.fields.emplace_back(std::move(sims));
+    row.fields.emplace_back(std::vector<double>(upper.begin(), upper.end()));
     row.fields.push_back(group[i].fields.at(1));  // read id
     rows.push_back(std::move(row));
   }

@@ -1,6 +1,9 @@
 // The paper's User Defined Functions (Algorithm 3).  Each UDF maps one
 // input tuple to zero or more output tuples (Pig's FOREACH ... GENERATE
-// FLATTEN semantics).
+// FLATTEN semantics).  The UDFs convert between tuples and core types and
+// call core for the work (MinHasher, pairwise_similarity_matrix,
+// candidates::build_graph, agglomerate, greedy_cluster); pig holds no
+// similarity code of its own.
 //
 //   StringGenerator        (seq:chararray, id) -> (codes:list, id)
 //   TranslateToKmer        (codes:list, id)    -> (kmers:list, id)
@@ -62,11 +65,11 @@ class CalculateMinwiseHash final : public Udf {
 };
 
 /// Grouped sketches -> one similarity-matrix row per read (row-partitioned,
-/// j > row only).  With the default exact backend every pair is scored;
-/// under core::candidates' LSH backend only candidate pairs are scored (the
-/// banding is resolved from `theta` via the S-curve) and non-candidate
-/// cells stay 0 — the row shape is unchanged, so downstream UDFs work with
-/// either backend.
+/// j > row only).  The default exact backend is core's
+/// pairwise_similarity_matrix; core::candidates' LSH backend (banding
+/// resolved from `theta` via the S-curve) is similarity_matrix_from_graph
+/// over build_graph, so non-candidate cells stay 0.  Cells carry core's
+/// float similarities; the row shape is the same under either backend.
 class CalculatePairwiseSimilarity final : public Udf {
  public:
   explicit CalculatePairwiseSimilarity(core::SketchEstimator estimator,

@@ -9,7 +9,9 @@ std::vector<FastaRecord> make_records(std::initializer_list<const char*> seqs) {
   std::vector<FastaRecord> records;
   int i = 0;
   for (const char* seq : seqs) {
-    records.push_back({"r" + std::to_string(i++), "", seq});
+    // append, not "lit" + std::string: GCC 12 -Wrestrict false positive
+    // (GCC PR 105329).
+    records.push_back({std::string("r").append(std::to_string(i++)), "", seq});
   }
   return records;
 }

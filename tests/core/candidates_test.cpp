@@ -73,7 +73,7 @@ TEST(LshCollisionProbability, BoundaryValues) {
 }
 
 TEST(CollisionProbability, MonotoneInSimilarity) {
-  for (const auto [bands, rows] :
+  for (const auto& [bands, rows] :
        {std::pair<std::size_t, std::size_t>{8, 5}, {20, 2}, {4, 10}}) {
     double previous = -1.0;
     for (double j = 0.0; j <= 1.0; j += 0.05) {
@@ -99,7 +99,7 @@ TEST(CollisionProbability, MonotoneInBandCountAtFixedRows) {
 TEST(CollisionProbability, ThresholdIsTheSCurveMidpoint) {
   // At J = lsh_threshold the collision probability approaches
   // 1 - (1 - 1/b)^b, which lives in (0.5, 0.75) for b >= 2.
-  for (const auto [bands, rows] :
+  for (const auto& [bands, rows] :
        {std::pair<std::size_t, std::size_t>{8, 5}, {10, 4}, {20, 2}}) {
     const double mid = candidates::lsh_collision_probability(
         candidates::lsh_threshold(bands, rows), bands, rows);

@@ -302,7 +302,9 @@ std::vector<bio::FastaRecord> make_reads(std::size_t count, std::uint64_t seed) 
     for (int m = 0; m < 4; ++m) {
       seq[rng.bounded(seq.size())] = "ACGT"[rng.bounded(4)];
     }
-    reads[i].id = "r" + std::to_string(i);
+    // append, not "lit" + std::string: GCC 12 -Wrestrict false positive
+    // (GCC PR 105329).
+    reads[i].id = std::string("r").append(std::to_string(i));
     reads[i].seq = std::move(seq);
   }
   return reads;

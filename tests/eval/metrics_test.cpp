@@ -113,7 +113,9 @@ TEST(WeightedSimilarity, SamplingIsDeterministic) {
   std::vector<bio::FastaRecord> reads;
   std::vector<int> labels;
   for (int i = 0; i < 30; ++i) {
-    reads.push_back(read("r" + std::to_string(i),
+    // append, not "lit" + std::string: GCC 12 -Wrestrict false positive
+    // (GCC PR 105329).
+    reads.push_back(read(std::string("r").append(std::to_string(i)),
                          i % 2 ? "ACGTACGTACGTGGCA" : "ACGTACGAACGTGGCA"));
     labels.push_back(0);
   }

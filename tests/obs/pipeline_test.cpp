@@ -12,6 +12,7 @@
 #include "common/mini_json.hpp"
 #include "core/mrmc.hpp"
 #include "mr/faults.hpp"
+#include "mr/recovery.hpp"
 #include "mr/simdfs.hpp"
 #include "obs/progress.hpp"
 #include "obs/report.hpp"
@@ -454,6 +455,40 @@ TEST_F(PipelineDoctorTest, PigAlgorithm3WritesTheConfiguredPipelineReport) {
                               trace_path + " -o " + cli_path;
   ASSERT_EQ(std::system(command.c_str()), 0) << command;
   EXPECT_EQ(written, read_file(cli_path));
+}
+
+TEST_F(PipelineDoctorTest, CrashedPigScriptLeavesATraceTheDoctorReads) {
+  // The pig boundary flushes on the exception path too: a script killed by
+  // MRMC_CRASH_AFTER_STAGE still writes the trace its resume run's doctor
+  // needs.
+  const std::string trace_path =
+      ::testing::TempDir() + "/mrmc_pig_crash_trace.json";
+  const std::string cli_path =
+      ::testing::TempDir() + "/mrmc_pig_crash_cli.json";
+  std::remove(trace_path.c_str());
+  Tracer::global().set_output_path(trace_path);
+
+  const auto sample = simdata::build_whole_metagenome(
+      simdata::whole_metagenome_spec("S8"), {.reads = 30, .seed = 5});
+  mr::SimDfs dfs({.nodes = 4, .block_size = 4096});
+  dfs.write("/input.fa", bio::write_fasta_string(sample.reads));
+  pig::Algorithm3Params params;
+  params.num_hashes = 32;
+  ::setenv("MRMC_CRASH_AFTER_STAGE", "foreach-TranslateToKmer", 1);
+  EXPECT_THROW(pig::run_algorithm3(dfs, "/input.fa", "/h", "/g", params),
+               mr::recovery::InjectedDriverCrash);
+  ::unsetenv("MRMC_CRASH_AFTER_STAGE");
+  EXPECT_FALSE(dfs.exists("/h"));
+
+  const std::string command = std::string(MRMC_DOCTOR_BIN) + " pipeline " +
+                              trace_path + " --format=json -o " + cli_path;
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  const auto parsed = common::parse_json(read_file(cli_path));
+  ASSERT_EQ(parsed.at("pipelines").array.size(), 1u);
+  const auto& pipeline = parsed.at("pipelines").array[0];
+  EXPECT_EQ(pipeline.at("id").string.rfind("algorithm3#", 0), 0u);
+  // The two jobs that ran before the kill.
+  EXPECT_EQ(pipeline.at("stages").array.size(), 2u);
 }
 
 TEST_F(PipelineDoctorTest, CliJobsAndJobSelectorsBehave) {

@@ -1,7 +1,8 @@
-// Resumable Algorithm 3: the Pig driver runs on the same mr::recovery
-// StageDriver as core::run_pipeline, configured via MRMC_CHECKPOINT_DIR.
-// A killed script resumes with completed steps served from checkpoint and
-// byte-identical stored outputs.
+// Resumable pig scripts: run_script drives every MapReduce statement on the
+// same mr::recovery StageDriver as core::run_pipeline, configured via
+// MRMC_CHECKPOINT_DIR.  A killed script — Algorithm 3 or any other —
+// resumes with completed steps served from checkpoint and byte-identical
+// stored outputs.
 #include "pig/pig.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "bio/fasta.hpp"
 #include "mr/recovery.hpp"
+#include "pig/script.hpp"
 #include "simdata/datasets.hpp"
 
 namespace mrmc::pig {
@@ -130,6 +132,67 @@ TEST(PigResume, ChangedParamsIgnoreTheWarmDirectory) {
   EXPECT_EQ(rerun.recovery.checkpoint_hits, 0u);
   EXPECT_EQ(rerun.recovery.checkpoint_misses, kSteps);
   EXPECT_EQ(rerun.jobs_run, kSteps);
+}
+
+// ------------------------------------------------- any script, same driver
+
+// GROUP BY + FOREACH + STORE: run_script drives every MapReduce statement
+// as one stage — three FOREACHes, the inline GROUP ALL, the clustering
+// FOREACH and the GROUP BY.
+constexpr std::size_t kScriptStages = 6;
+
+constexpr const char* kGroupByScript = R"(
+A = LOAD '/input.fa' USING FastaStorage;
+B = FOREACH A GENERATE FLATTEN(StringGenerator(seq, readid));
+C = FOREACH B GENERATE FLATTEN(TranslateToKmer(seq, seqid, 5));
+E = FOREACH C GENERATE FLATTEN(CalculateMinwiseHash(kmers, id, 32, 0));
+L = FOREACH (GROUP E ALL) GENERATE FLATTEN(GreedyClustering(F, 32, $CUTOFF));
+G = GROUP L BY $1;
+STORE L INTO '/out/labels';
+STORE G INTO '/out/groups';
+)";
+
+ScriptResult run_group_by_script(Fixture& fixture, const std::string& cutoff) {
+  PigContext ctx(&fixture.dfs, {.nodes = 4});
+  return run_script(ctx, kGroupByScript, {{"CUTOFF", cutoff}});
+}
+
+TEST(PigResume, KilledGroupByScriptResumesWithByteIdenticalStores) {
+  Fixture baseline;
+  const ScriptResult first = run_group_by_script(baseline, "0.45");
+  EXPECT_EQ(first.jobs_run, kScriptStages);
+  EXPECT_EQ(first.recovery.stages, kScriptStages);
+
+  Fixture fixture;
+  ScopedEnv ckpt("MRMC_CHECKPOINT_DIR", fresh_dir("script"));
+  {
+    // Die right after the inline GROUP ALL (driver sequence 3) commits.
+    ScopedEnv crash("MRMC_CRASH_AFTER_STAGE", "group-all");
+    EXPECT_THROW(run_group_by_script(fixture, "0.45"),
+                 mr::recovery::InjectedDriverCrash);
+    EXPECT_FALSE(fixture.dfs.exists("/out/labels"));
+  }
+
+  const ScriptResult resumed = run_group_by_script(fixture, "0.45");
+  EXPECT_EQ(fixture.dfs.read("/out/labels"), baseline.dfs.read("/out/labels"));
+  EXPECT_EQ(fixture.dfs.read("/out/groups"), baseline.dfs.read("/out/groups"));
+  EXPECT_EQ(resumed.recovery.stages, kScriptStages);
+  EXPECT_EQ(resumed.recovery.checkpoint_hits, 4u);
+  EXPECT_EQ(resumed.recovery.checkpoint_misses, kScriptStages - 4);
+  EXPECT_EQ(resumed.jobs_run, kScriptStages - 4);
+}
+
+TEST(PigResume, EditedScriptIgnoresTheWarmDirectory) {
+  Fixture fixture;
+  ScopedEnv ckpt("MRMC_CHECKPOINT_DIR", fresh_dir("edit"));
+  (void)run_group_by_script(fixture, "0.45");
+  EXPECT_EQ(run_group_by_script(fixture, "0.45").recovery.checkpoint_hits,
+            kScriptStages);
+
+  // Editing a downstream statement re-keys every stage, upstream ones too.
+  const ScriptResult edited = run_group_by_script(fixture, "0.6");
+  EXPECT_EQ(edited.recovery.checkpoint_hits, 0u);
+  EXPECT_EQ(edited.recovery.checkpoint_misses, kScriptStages);
 }
 
 }  // namespace

@@ -111,8 +111,11 @@ Bag make_minwise_group(const std::vector<std::string>& seqs) {
   const CalculateMinwiseHash minwise(16, 4, 3);
   Bag group;
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    group.push_back(minwise.exec(translate.exec(
-        encode.exec(seq_tuple(seqs[i], "r" + std::to_string(i)))[0])[0])[0]);
+    // append, not "lit" + std::string: GCC 12 -Wrestrict false positive
+    // (GCC PR 105329).
+    const std::string id = std::string("r").append(std::to_string(i));
+    group.push_back(minwise.exec(
+        translate.exec(encode.exec(seq_tuple(seqs[i], id))[0])[0])[0]);
   }
   return group;
 }
@@ -157,7 +160,9 @@ TEST(CalculatePairwiseSimilarityUdf, LshBackendKeepsRowShapeAndExactCells) {
     ASSERT_EQ(sparse.size(), dense.size());
     // Candidate cells carry the exact value; non-candidates stay 0.
     for (std::size_t j = 0; j < sparse.size(); ++j) {
-      if (sparse[j] != 0.0) EXPECT_DOUBLE_EQ(sparse[j], dense[j]);
+      if (sparse[j] != 0.0) {
+        EXPECT_DOUBLE_EQ(sparse[j], dense[j]);
+      }
     }
   }
   // The identical pair collides in every band, so its cell must be scored.

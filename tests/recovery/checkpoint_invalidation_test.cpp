@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bio/fasta.hpp"
 #include "core/pipeline.hpp"
+#include "mr/recovery.hpp"
+#include "pig/pig.hpp"
 #include "simdata/datasets.hpp"
 
 namespace mrmc::core {
@@ -48,7 +52,10 @@ ExecutionOptions checkpointed(const std::string& dir) {
 /// The on-disk checkpoint of driver sequence `sequence` ("<label>.<seq>-…").
 std::filesystem::path checkpoint_of(const std::string& dir,
                                     std::size_t sequence) {
-  const std::string needle = "." + std::to_string(sequence) + "-";
+  // append, not "lit" + std::string: GCC 12 -Wrestrict false positive
+  // (GCC PR 105329).
+  const std::string needle =
+      std::string(".").append(std::to_string(sequence)).append("-");
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
     if (name.find(needle) != std::string::npos &&
@@ -58,6 +65,27 @@ std::filesystem::path checkpoint_of(const std::string& dir,
   }
   ADD_FAILURE() << "no checkpoint with sequence " << sequence << " in " << dir;
   return {};
+}
+
+/// Replace the payload of checkpoint `file` under a valid header — same
+/// key, matching size and checksum — so only the stage decoder can reject
+/// it.
+void forge_payload(const std::filesystem::path& file,
+                   const std::string& payload) {
+  std::ifstream in(file, std::ios::binary);
+  std::string header(16, '\0');  // magic, version, key
+  ASSERT_TRUE(in.read(header.data(), 16));
+  mr::recovery::PayloadReader reader(std::string_view(header).substr(8));
+  const std::uint64_t key = reader.u64();
+  mr::recovery::CheckpointStore store(file.parent_path().string());
+  ASSERT_TRUE(store.store(file.filename().string(), key, payload));
+}
+
+/// A payload that is only a count: `count` elements, none of them present.
+std::string count_only_payload(std::uint64_t count) {
+  mr::recovery::PayloadWriter writer;
+  writer.u64(count);
+  return writer.take();
 }
 
 // The hierarchical pipeline drives 3 stages: sketch, similarity, cluster.
@@ -93,9 +121,10 @@ TEST(Invalidation, ParamChangeRecomputesEverything) {
   EXPECT_EQ(rerun.recovery.checkpoint_hits, 0u);
   EXPECT_EQ(rerun.recovery.checkpoint_misses, kStages);
   // The changed-params run matches its own uncheckpointed twin.
-  const PipelineResult uncheckpointed =
-      run_pipeline(reads, changed, ExecutionOptions{.threads = 2,
-                                                    .records_per_split = 16});
+  ExecutionOptions plain;
+  plain.threads = 2;
+  plain.records_per_split = 16;
+  const PipelineResult uncheckpointed = run_pipeline(reads, changed, plain);
   EXPECT_EQ(rerun.labels, uncheckpointed.labels);
 }
 
@@ -158,6 +187,70 @@ TEST(Invalidation, CorruptedCheckpointRecomputesThatStageOnly) {
   EXPECT_EQ(rerun.labels, first.labels);
   EXPECT_EQ(rerun.recovery.invalid_checkpoints, 1u);
   EXPECT_EQ(rerun.recovery.checkpoint_hits, kStages - 1);
+}
+
+TEST(Invalidation, HugeMatrixCountIsACorruptCheckpoint) {
+  const auto reads = sample_reads();
+  const std::string dir = fresh_dir("huge_matrix");
+  const PipelineResult first =
+      run_pipeline(reads, hier_params(), checkpointed(dir));
+
+  // The "similarity" (sequence 1) payload claims a 2^32 × 2^32 matrix with
+  // no cells.  n · n wraps to 0 in 64 bits, so only the count bound stops
+  // the decoder from returning a matrix with no storage.
+  const std::filesystem::path victim = checkpoint_of(dir, 1);
+  ASSERT_FALSE(victim.empty());
+  forge_payload(victim, count_only_payload(1ULL << 32));
+
+  const PipelineResult rerun =
+      run_pipeline(reads, hier_params(), checkpointed(dir));
+  EXPECT_EQ(rerun.labels, first.labels);
+  EXPECT_EQ(rerun.recovery.invalid_checkpoints, 1u);
+  EXPECT_EQ(rerun.recovery.checkpoint_misses, 1u);
+  EXPECT_EQ(rerun.recovery.checkpoint_hits, kStages - 1);
+}
+
+/// One tuple whose only field is a bag of one such tuple, `depth` deep.
+std::string nested_bags_payload(int depth) {
+  mr::recovery::PayloadWriter writer;
+  writer.u64(1);  // tuples
+  for (int level = 0; level < depth; ++level) {
+    writer.u64(1);  // fields
+    writer.u32(5);  // Bag tag
+    writer.u64(1);  // tuples
+  }
+  writer.u64(0);  // innermost tuple: no fields
+  return writer.take();
+}
+
+TEST(Invalidation, ForgedPigRelationIsACorruptCheckpoint) {
+  const auto reads = sample_reads();
+  mr::SimDfs dfs({.nodes = 4, .block_size = 4096});
+  dfs.write("/input.fa", bio::write_fasta_string(reads));
+  pig::Algorithm3Params params;
+  params.num_hashes = 32;
+  const auto run = [&] {
+    return pig::run_algorithm3(dfs, "/input.fa", "/h", "/g", params);
+  };
+  const std::string dir = fresh_dir("forged_relation");
+  ::setenv("MRMC_CHECKPOINT_DIR", dir.c_str(), 1);
+  const pig::Algorithm3Result first = run();
+  const std::string hier_bytes = dfs.read("/h");
+
+  // The first "group-all" (sequence 3) relation claims 2^61 tuples, then
+  // nests bags 100 000 deep.
+  const std::filesystem::path victim = checkpoint_of(dir, 3);
+  for (const std::string& payload :
+       {count_only_payload(1ULL << 61), nested_bags_payload(100000)}) {
+    forge_payload(victim, payload);
+    const pig::Algorithm3Result rerun = run();
+    EXPECT_EQ(rerun.hierarchical, first.hierarchical);
+    EXPECT_EQ(dfs.read("/h"), hier_bytes);
+    EXPECT_EQ(rerun.recovery.invalid_checkpoints, 1u);
+    EXPECT_EQ(rerun.recovery.checkpoint_misses, 1u);
+    EXPECT_EQ(rerun.recovery.checkpoint_hits, 7u);
+  }
+  ::unsetenv("MRMC_CHECKPOINT_DIR");
 }
 
 TEST(Invalidation, StaleDirectoryFromOtherRunsIsHarmless) {

@@ -67,6 +67,25 @@ TEST(Payload, OverrunThrowsInsteadOfReadingGarbage) {
   EXPECT_THROW((void)torn_reader.str(), common::Error);
 }
 
+TEST(Payload, CountRejectsWhatTheRemainingBytesCannotHold) {
+  PayloadWriter writer;
+  writer.u64(2);
+  writer.u64(10);
+  writer.u64(20);
+  PayloadReader reader(writer.bytes());
+  EXPECT_EQ(reader.count(8), 2u);
+  EXPECT_NO_THROW(reader.fits(2, 8));
+  EXPECT_THROW(reader.fits(3, 8), common::Error);
+
+  // A count whose elements would need more bytes than are left throws
+  // before any decoder sizes a container from it.
+  PayloadWriter huge;
+  huge.u64(1ULL << 61);
+  huge.u64(0);
+  PayloadReader huge_reader(huge.bytes());
+  EXPECT_THROW((void)huge_reader.count(1), common::Error);
+}
+
 TEST(Payload, DoneDetectsTrailingBytes) {
   PayloadWriter writer;
   writer.u32(1);
