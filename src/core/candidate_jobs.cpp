@@ -11,35 +11,15 @@
 
 namespace mrmc::core {
 
-namespace {
-
-mr::JobConfig job_config(const char* name, const ExecutionOptions& exec,
-                         std::size_t records_per_split) {
-  mr::JobConfig config;
-  config.name = name;
-  config.num_reducers = std::max<std::size_t>(1, exec.cluster.reduce_slots());
-  config.records_per_split = records_per_split;
-  detail::apply_exec_options(config, exec);
-  return config;
-}
-
-}  // namespace
-
 CandidateJobResult run_candidate_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const candidates::Params& params, double theta,
     const ExecutionOptions& exec) {
+  MRMC_REQUIRE(params.backend == candidates::Backend::kLshBanded,
+               "the candidates job enumerates LSH bucket-mates");
   CandidateJobResult result;
   const std::size_t n = sketches->rows();
   if (n < 2) return result;
-
-  if (params.backend == candidates::Backend::kExactAllPairs) {
-    result.pairs.reserve(n * (n - 1) / 2);
-    for (std::uint32_t i = 0; i + 1 < n; ++i) {
-      for (std::uint32_t j = i + 1; j < n; ++j) result.pairs.emplace_back(i, j);
-    }
-    return result;
-  }
 
   obs::pipeline::StageScope stage("candidates");
   const std::size_t sketch_size = sketches->cols();
@@ -50,7 +30,7 @@ CandidateJobResult run_candidate_job(
 
   using BandJob = mr::Job<std::uint32_t, std::uint64_t, std::uint32_t,
                           candidates::Pair>;
-  auto config = job_config("candidates", exec, exec.records_per_split);
+  auto config = detail::job_config("candidates", exec, exec.records_per_split);
 
   auto& bucket_hist =
       obs::Registry::global().histogram("pipeline.candidate_bucket_size");
@@ -142,7 +122,7 @@ VerifyJobResult run_verify_job(
   const std::size_t per_split = std::max<std::size_t>(
       exec.records_per_split,
       pairs.size() / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
-  auto config = job_config("verify", exec, per_split);
+  auto config = detail::job_config("verify", exec, per_split);
 
   VerifyJob job(
       config,

@@ -13,9 +13,10 @@
 // Both drivers sort and deduplicate their outputs, so candidate sets and
 // edge lists are byte-identical across thread counts, record split orders,
 // fault plans that leave one live node, and scalar vs AVX2 kernels — and
-// identical to the local candidates::enumerate_pairs / verify_pairs path.
-// Each job claims a lineage stage ("candidates" / "verify") so
-// `mrmc_doctor pipeline` reports them like any other pipeline stage.
+// identical to the local candidates::enumerate_pairs / verify_pairs path,
+// whose build_bucket_index sorts on the same band_bucket_key.  Each job
+// claims a lineage stage ("candidates" / "verify") so `mrmc_doctor
+// pipeline` reports them like any other pipeline stage.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +31,13 @@ namespace mrmc::core {
 
 struct CandidateJobResult {
   std::vector<candidates::Pair> pairs;  ///< sorted by (a, b), unique
-  candidates::BandShape shape;          ///< resolved banding ({0, 0} for exact)
-  mr::JobStats stats;                   ///< empty for the exact backend
+  candidates::BandShape shape;          ///< resolved ({0, 0} for < 2 reads)
+  mr::JobStats stats;                   ///< empty for < 2 reads
 };
 
-/// Enumerate candidate pairs for the sketch table.  The LSH backend runs the
-/// "candidates" MapReduce job on the simulated cluster; the exact backend
-/// enumerates all pairs driver-side (an all-pairs shuffle would itself be
-/// the O(n^2) wall this layer removes).
+/// Enumerate candidate pairs for the sketch table with the "candidates"
+/// MapReduce job.  LSH backend only: an all-pairs shuffle would itself be
+/// the O(n^2) wall this layer removes.
 CandidateJobResult run_candidate_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const candidates::Params& params, double theta,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
@@ -72,32 +73,37 @@ std::uint64_t band_bucket_key(std::span<const std::uint64_t> sketch,
   return h;
 }
 
-namespace {
-
-std::vector<Pair> all_pairs(std::size_t n) {
-  std::vector<Pair> pairs;
-  if (n < 2) return pairs;
-  pairs.reserve(n * (n - 1) / 2);
-  for (std::uint32_t i = 0; i + 1 < n; ++i) {
-    for (std::uint32_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
-  }
-  return pairs;
-}
-
-/// Sort-based batch bucketing: one (key, id) entry per (read, band), sorted
-/// so each bucket is a contiguous run.  Memory-lean relative to hash maps
-/// at millions of reads, and trivially deterministic.
-std::vector<Pair> lsh_pairs(const kernels::SketchMatrix& sketches,
-                            const BandShape& shape, std::uint64_t seed,
-                            common::ThreadPool* pool) {
+BucketIndex build_bucket_index(const kernels::SketchMatrix& sketches,
+                               const Params& params, double theta,
+                               common::ThreadPool* pool) {
   const std::size_t n = sketches.rows();
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> entries(n * shape.bands);
+  const bool exact = params.backend == Backend::kExactAllPairs;
+  BucketIndex index;
+  if (!exact && n < 2) return index;
+  const BandShape shape =
+      exact ? BandShape{1, sketches.cols()}
+            : resolve_band_shape(params, sketches.cols(), theta);
+  const std::size_t bands = shape.bands;
+  const std::size_t slots = n * bands;
+  MRMC_REQUIRE(slots < std::numeric_limits<std::uint32_t>::max(),
+               "too many (read, band) entries for 32-bit bucket ids");
+  index.bands = bands;
+  index.bucket_of.assign(slots, 0);
+  if (exact) {
+    index.start = {0, static_cast<std::uint32_t>(n)};
+    return index;
+  }
+
+  // One (key, slot) entry per slot, sorted so each bucket is a contiguous
+  // run of equal keys.  Memory-lean relative to hash maps at millions of
+  // reads, and trivially deterministic.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> entries(slots);
   auto fill_row = [&](std::size_t i) {
     const auto sketch = sketches.row(i);
-    for (std::size_t band = 0; band < shape.bands; ++band) {
-      entries[i * shape.bands + band] = {
-          band_bucket_key(sketch, band, shape, seed),
-          static_cast<std::uint32_t>(i)};
+    for (std::size_t band = 0; band < bands; ++band) {
+      const std::size_t slot = i * bands + band;
+      entries[slot] = {band_bucket_key(sketch, band, shape, params.seed),
+                       static_cast<std::uint32_t>(slot)};
     }
   };
   if (pool != nullptr) {
@@ -106,38 +112,51 @@ std::vector<Pair> lsh_pairs(const kernels::SketchMatrix& sketches,
     for (std::size_t i = 0; i < n; ++i) fill_row(i);
   }
   std::sort(entries.begin(), entries.end());
-
-  std::vector<Pair> pairs;
-  for (std::size_t lo = 0; lo < entries.size();) {
-    std::size_t hi = lo + 1;
-    while (hi < entries.size() && entries[hi].first == entries[lo].first) ++hi;
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (std::size_t j = i + 1; j < hi; ++j) {
-        // ids ascend within a run (the sort's tiebreak), so a < b holds;
-        // equal ids (two bands of one read colliding on the same key) must
-        // not become a self-pair.
-        if (entries[i].second == entries[j].second) continue;
-        pairs.emplace_back(entries[i].second, entries[j].second);
-      }
+  for (std::size_t e = 0; e < slots; ++e) {
+    if (e == 0 || entries[e].first != entries[e - 1].first) {
+      index.start.push_back(static_cast<std::uint32_t>(e));
     }
-    lo = hi;
+    index.bucket_of[entries[e].second] =
+        static_cast<std::uint32_t>(index.start.size() - 1);
   }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  return pairs;
+  index.start.push_back(static_cast<std::uint32_t>(slots));
+  return index;
 }
-
-}  // namespace
 
 std::vector<Pair> enumerate_pairs(const kernels::SketchMatrix& sketches,
                                   const Params& params, double theta,
                                   common::ThreadPool* pool) {
-  if (sketches.rows() < 2) return {};
-  if (params.backend == Backend::kExactAllPairs) {
-    return all_pairs(sketches.rows());
+  const std::size_t n = sketches.rows();
+  if (n < 2) return {};
+  const BucketIndex index = build_bucket_index(sketches, params, theta, pool);
+  // Each bucket's read ids, ascending: the slots in order, each placed at
+  // its bucket's next offset.
+  std::vector<std::uint32_t> members(index.bucket_of.size());
+  std::vector<std::uint32_t> cursor(index.start.begin(), index.start.end() - 1);
+  for (std::size_t slot = 0; slot < members.size(); ++slot) {
+    members[cursor[index.bucket_of[slot]]++] =
+        static_cast<std::uint32_t>(slot / index.bands);
   }
-  const BandShape shape = resolve_band_shape(params, sketches.cols(), theta);
-  return lsh_pairs(sketches, shape, params.seed, pool);
+  // One bucket of distinct ascending reads (the exact backend) expands in
+  // (a, b) order already; otherwise a pair may surface from several buckets.
+  const bool presorted = index.bands == 1 && index.num_buckets() == 1;
+  std::vector<Pair> pairs;
+  if (presorted) pairs.reserve(n * (n - 1) / 2);
+  for (std::size_t bucket = 0; bucket < index.num_buckets(); ++bucket) {
+    const auto first = members.begin() + index.start[bucket];
+    const auto last = members.begin() + index.start[bucket + 1];
+    for (auto i = first; i != last; ++i) {
+      for (auto j = i + 1; j != last; ++j) {
+        // Two bands of one read sharing a key must not become a self-pair.
+        if (*i != *j) pairs.emplace_back(*i, *j);
+      }
+    }
+  }
+  if (!presorted) {
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  }
+  return pairs;
 }
 
 PairScorer::PairScorer(const kernels::SketchMatrix& sketches,

@@ -13,14 +13,15 @@
 //     bucket-mates become candidate pairs.  Near-linear in practice where
 //     all-pairs is quadratic (bench/ablation_lsh_index).
 //
+// Both backends build one BucketIndex (exact: one bucket of every read).
+// enumerate_pairs expands its buckets into pairs; the greedy bucket sweep
+// (core/greedy) probes them for earlier representatives only.
+//
 // Candidates are then *verified*: every pair is scored with the batched
 // sketch kernels (PairScorer: count_equal / SortedSketchStore) into a
 // SparseSimilarityGraph that hierarchical (similarity_matrix_from_graph),
 // pig's CalculatePairwiseSimilarity and greedy_cluster_graph consume.  The
-// pipeline's greedy mode skips the pair list on either backend: its bucket
-// sweep (core/greedy) probes the same band buckets for representatives only
-// (under the exact backend, one bucket that holds every representative).
-// The S-curve / band-shape math lives here and only here.
+// S-curve / band-shape math lives here and only here.
 //
 // Everything in this header is deterministic: candidate sets and edge lists
 // are sorted and deduplicated, so they are byte-identical across thread
@@ -93,22 +94,44 @@ struct Params {
                                            double theta);
 
 /// The banding hash: bucket key of `sketch`'s band `band` under `shape`.
-/// Every consumer — the batch enumerator, the candidate MapReduce job, and
-/// the greedy bucket sweep — must call this exact function so their bucket
-/// structure (and therefore their candidate sets) agree.
+/// build_bucket_index and the candidate MapReduce job both call it, so
+/// their buckets (and therefore their candidate sets) agree.
 [[nodiscard]] std::uint64_t band_bucket_key(std::span<const std::uint64_t> sketch,
                                             std::size_t band,
                                             const BandShape& shape,
                                             std::uint64_t seed) noexcept;
 
+/// Every read filed under its buckets, `bands` slots per read (slot
+/// read·bands + band).  Bucket b holds start[b + 1] - start[b] slots; a
+/// read whose bands share a key fills that bucket once per such band.
+struct BucketIndex {
+  std::size_t bands = 0;
+  std::vector<std::uint32_t> bucket_of;  ///< slot -> dense bucket id
+  std::vector<std::uint32_t> start;      ///< num_buckets() + 1 offsets
+
+  [[nodiscard]] std::size_t num_buckets() const noexcept {
+    return start.empty() ? 0 : start.size() - 1;
+  }
+};
+
+/// The one bucket index behind enumerate_pairs and the greedy bucket sweep.
+/// Exact backend: one bucket that holds every read, built without a sort.
+/// LSH backend: the band_bucket_keys of the shape `params` resolves at
+/// `theta` (computed on `pool` when given), then one sort of (key, slot)
+/// entries into dense bucket ids; equal keys share a bucket in any band.
+/// Under LSH, fewer than two reads resolve no shape and get no buckets.
+[[nodiscard]] BucketIndex build_bucket_index(
+    const kernels::SketchMatrix& sketches, const Params& params, double theta,
+    common::ThreadPool* pool = nullptr);
+
 /// An unordered candidate pair, stored with a < b.
 using Pair = std::pair<std::uint32_t, std::uint32_t>;
 
 /// Enumerate candidate pairs for the whole sketch matrix under `params`:
-/// all pairs (exact backend) or bucket-mates in at least one band (LSH
-/// backend).  The result is sorted by (a, b) and deduplicated — identical
-/// at any `pool` size, and identical to what the candidate MapReduce job
-/// produces for the same inputs.
+/// the bucket-mates of build_bucket_index — all pairs (exact backend) or
+/// reads sharing a band key (LSH backend).  The result is sorted by (a, b)
+/// and deduplicated — identical at any `pool` size, and identical to what
+/// the candidate MapReduce job produces for the same inputs.
 [[nodiscard]] std::vector<Pair> enumerate_pairs(
     const kernels::SketchMatrix& sketches, const Params& params, double theta,
     common::ThreadPool* pool = nullptr);

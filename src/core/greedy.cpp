@@ -1,6 +1,5 @@
 #include "core/greedy.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -71,56 +70,9 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
   const std::size_t n = sketches.rows();
   GreedyResult result;
   result.labels.assign(n, -1);
-  const bool exact = lsh.backend == candidates::Backend::kExactAllPairs;
-  // The exact backend is one band whose single bucket holds every
-  // representative.  LSH: fewer than two reads have no bucket-mates
-  // (enumerate_pairs returns no pairs without resolving a shape), so zero
-  // bands makes every read a singleton representative.
-  const candidates::BandShape shape =
-      exact ? candidates::BandShape{1, sketches.cols()}
-      : n < 2
-          ? candidates::BandShape{}
-          : candidates::resolve_band_shape(lsh, sketches.cols(), band_theta);
-  const std::size_t bands = shape.bands;
-  const std::size_t slots = n * bands;
-  MRMC_REQUIRE(slots < std::numeric_limits<std::uint32_t>::max(),
-               "too many (read, band) entries for 32-bit bucket ids");
-
-  // Bucket ids.  bucket_of[read·bands + band] is that slot's dense bucket
-  // id; bucket b later stores its representatives in
-  // reps[start[b] .. start[b] + filled[b]), room for its whole run.
-  std::vector<std::uint32_t> bucket_of(slots, 0);
-  std::vector<std::uint32_t> start;
-  if (exact) {
-    if (n > 0) start.push_back(0);
-  } else {
-    // One (key, slot) entry per slot, sorted so each bucket is a contiguous
-    // run of equal keys — the runs lsh_pairs turns into pairs (a key
-    // repeated across bands is one bucket there too).
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> entries(slots);
-    auto fill_row = [&](std::size_t i) {
-      const auto sketch = sketches.row(i);
-      for (std::size_t band = 0; band < bands; ++band) {
-        const std::size_t slot = i * bands + band;
-        entries[slot] = {candidates::band_bucket_key(sketch, band, shape,
-                                                     lsh.seed),
-                         static_cast<std::uint32_t>(slot)};
-      }
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(n, fill_row);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) fill_row(i);
-    }
-    std::sort(entries.begin(), entries.end());
-    for (std::size_t lo = 0; lo < slots; ++lo) {
-      if (lo == 0 || entries[lo].first != entries[lo - 1].first) {
-        start.push_back(static_cast<std::uint32_t>(lo));
-      }
-      bucket_of[entries[lo].second] =
-          static_cast<std::uint32_t>(start.size() - 1);
-    }
-  }
+  const candidates::BucketIndex index =
+      candidates::build_bucket_index(sketches, lsh, band_theta, pool);
+  const std::size_t bands = index.bands;
 
   // The sweep.  Representatives enter their buckets in id order, so each
   // bucket's list ascends and a walk stops at the first id >= the best
@@ -131,16 +83,18 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
   // one bucket, j scores exactly the representatives created before it, in
   // creation order: Algorithm 1's comparisons, one read at a time.
   const candidates::PairScorer similarity(sketches, params.estimator);
-  std::vector<std::uint32_t> reps(slots);
-  std::vector<std::uint32_t> filled(start.size(), 0);
+  // Bucket b stores its representatives in reps[start[b] .. start[b] +
+  // filled[b]), room for its whole slot run.
+  std::vector<std::uint32_t> reps(index.bucket_of.size());
+  std::vector<std::uint32_t> filled(index.num_buckets(), 0);
   std::vector<std::uint32_t> stamp(n, std::numeric_limits<std::uint32_t>::max());
   int next_label = 0;
   for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t* own = bucket_of.data() + j * bands;
+    const std::uint32_t* own = index.bucket_of.data() + j * bands;
     std::size_t best = j;
     for (std::size_t band = 0; band < bands; ++band) {
       const std::uint32_t bucket = own[band];
-      const std::uint32_t* members = reps.data() + start[bucket];
+      const std::uint32_t* members = reps.data() + index.start[bucket];
       for (std::uint32_t k = 0; k < filled[bucket]; ++k) {
         const std::uint32_t r = members[k];
         if (r >= best) break;
@@ -161,7 +115,7 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
     result.representatives.push_back(j);
     for (std::size_t band = 0; band < bands; ++band) {
       const std::uint32_t bucket = own[band];
-      std::uint32_t* members = reps.data() + start[bucket];
+      std::uint32_t* members = reps.data() + index.start[bucket];
       // Two bands of j sharing a key share a bucket: enter it once.
       if (filled[bucket] == 0 || members[filled[bucket] - 1] != j) {
         members[filled[bucket]++] = static_cast<std::uint32_t>(j);

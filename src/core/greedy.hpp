@@ -3,12 +3,13 @@
 // A read joins the first cluster representative whose sketch similarity to
 // it is >= theta, or becomes a representative itself.  One loop implements
 // it: a sweep over the reads in input order in which read j scores the
-// earlier representatives in ascending id order.  The exact backend keeps
-// every representative in one bucket (O(N * #clusters) comparisons, the
-// paper's cost); the LSH backend files each representative under its band
-// buckets, so j scores only the representatives that share a bucket with
-// it.  greedy_cluster_graph runs the same join rule over a verified
-// candidate graph: the sweep's test oracle, and the composed
+// earlier representatives in ascending id order.  The buckets are
+// candidates::build_bucket_index's, the index enumerate_pairs expands: the
+// exact backend keeps every representative in one bucket (O(N * #clusters)
+// comparisons, the paper's cost); the LSH backend files each representative
+// under its band buckets, so j scores only the representatives that share a
+// bucket with it.  greedy_cluster_graph runs the same join rule over a
+// verified candidate graph: the sweep's test oracle, and the composed
 // enumerate -> verify -> greedy pass the LSH benchmarks time.
 #pragma once
 
@@ -52,11 +53,10 @@ GreedyResult greedy_cluster(const kernels::SketchMatrix& sketches,
 GreedyResult greedy_cluster_graph(const candidates::SparseSimilarityGraph& graph,
                                   const GreedyParams& params);
 
-/// Algorithm 1 as a bucket sweep over representatives.  Under the LSH
-/// backend each read is compared only with the representatives that share
-/// one of its band buckets: band keys come from candidates::band_bucket_key
-/// under the shape `lsh` resolves at `band_theta` (computed on `pool` when
-/// given), and one sort turns them into dense bucket ids.  Under the exact
+/// Algorithm 1 as a bucket sweep over representatives, probing the buckets
+/// of candidates::build_bucket_index(sketches, lsh, band_theta, pool).
+/// Under the LSH backend each read is compared only with the
+/// representatives that share one of its band buckets; under the exact
 /// backend (`band_theta` and `pool` unused) one bucket holds every
 /// representative.  The sweep visits reads in order: read j scores the
 /// earlier representatives in its buckets and joins the smallest-id one

@@ -24,16 +24,18 @@ namespace mrmc::core {
 
 namespace detail {
 
-void apply_exec_options(mr::JobConfig& config, const ExecutionOptions& exec) {
+mr::JobConfig job_config(const std::string& name, const ExecutionOptions& exec,
+                         std::size_t records_per_split) {
+  mr::JobConfig config;
+  config.name = name;
+  config.num_reducers = std::max<std::size_t>(1, exec.cluster.reduce_slots());
+  config.records_per_split = records_per_split;
   config.threads = exec.threads;
   config.isolated_pool = exec.isolated_pool;
   config.fault_plan = exec.fault_plan;
   config.cluster = exec.cluster;
   config.heartbeat_interval_s = exec.heartbeat_interval_s;
-  config.max_job_attempts = exec.max_job_attempts;
-  config.job_timeout_s = exec.job_timeout_s;
-  config.backoff_base_s = exec.backoff_base_s;
-  config.backoff_cap_s = exec.backoff_cap_s;
+  return config;
 }
 
 }  // namespace detail
@@ -147,11 +149,8 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
 
   using SketchJob = mr::Job<IndexedRead, std::uint32_t, mr::BinaryBlock,
                             std::pair<std::uint32_t, mr::BinaryBlock>>;
-  mr::JobConfig config;
-  config.name = "sketch";
-  config.num_reducers = std::max<std::size_t>(1, exec.cluster.reduce_slots());
-  config.records_per_split = exec.records_per_split;
-  detail::apply_exec_options(config, exec);
+  const mr::JobConfig config =
+      detail::job_config("sketch", exec, exec.records_per_split);
   const std::size_t per_split = config.records_per_split;
 
   auto& sketch_bytes_hist =
@@ -240,13 +239,10 @@ SimilarityMatrix run_similarity_job(
   using SimJob = mr::Job<std::uint32_t, std::uint32_t, mr::BinaryBlock,
                          std::pair<std::uint32_t, mr::BinaryBlock>>;
 
-  mr::JobConfig config;
-  config.name = "similarity";
-  config.num_reducers = std::max<std::size_t>(1, exec.cluster.reduce_slots());
-  config.records_per_split =
-      std::max<std::size_t>(1, n / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
-  detail::apply_exec_options(config, exec);
-  const std::size_t per_split = config.records_per_split;
+  const std::size_t per_split = std::max<std::size_t>(
+      1, n / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
+  const mr::JobConfig config =
+      detail::job_config("similarity", exec, per_split);
 
   // Set-based rows re-compare every sketch pair; pre-sort each sketch once
   // into a flat store shared (read-only) by all map tasks instead of sorting
@@ -367,11 +363,8 @@ std::vector<int> run_cluster_job(
   obs::pipeline::StageScope stage(name);
   using ClusterJob = mr::Job<std::uint32_t, int, std::uint32_t,
                              std::pair<std::uint32_t, int>>;
-  mr::JobConfig config;
-  config.name = name;
+  mr::JobConfig config = detail::job_config(name, exec, records_per_split);
   config.num_reducers = 1;  // GROUP ALL semantics
-  config.records_per_split = records_per_split;
-  detail::apply_exec_options(config, exec);
 
   ClusterJob job(
       config,
@@ -575,31 +568,13 @@ void note_lsh_fallback(mr::recovery::StageDriver& driver,
                {"error", error.what()}});
 }
 
-/// Candidate enumeration under `backend_params`: the "candidates" job when
-/// distributed, candidates::enumerate_pairs in-process.  Both leave the
-/// same pairs and band shape ({0, 0} for the exact backend or < 2 reads).
-CandidateJobResult enumerate_candidates(
-    const std::shared_ptr<const kernels::SketchMatrix>& sketches,
-    const candidates::Params& backend_params, double theta,
-    const ExecutionOptions& exec, common::ThreadPool* pool) {
-  if (exec.distributed) {
-    return run_candidate_job(sketches, backend_params, theta, exec);
-  }
-  CandidateJobResult local;
-  local.pairs =
-      candidates::enumerate_pairs(*sketches, backend_params, theta, pool);
-  if (backend_params.backend == candidates::Backend::kLshBanded &&
-      sketches->rows() >= 2) {
-    local.shape = candidates::resolve_band_shape(backend_params,
-                                                 sketches->cols(), theta);
-  }
-  return local;
-}
-
 /// The LSH-banded front half of hierarchical mode: candidates -> verify.
-/// Returns the verified graph; the candidate pairs die with this frame,
-/// before any cluster stage.
-candidates::SparseSimilarityGraph run_candidate_stages(
+/// The "candidates" stage is the job when distributed,
+/// candidates::enumerate_pairs in-process; both leave the same pairs and
+/// band shape.  Returns the verified graph (the candidate pairs die with
+/// this frame, before any cluster stage), or nothing once an exhausted
+/// candidates stage degrades to the exact backend's similarity stage.
+std::optional<candidates::SparseSimilarityGraph> run_candidate_stages(
     const std::shared_ptr<const kernels::SketchMatrix>& sketches,
     const PipelineParams& params, const EffectiveKnobs& knobs,
     const ExecutionOptions& exec, common::ThreadPool* pool,
@@ -610,28 +585,29 @@ candidates::SparseSimilarityGraph run_candidate_stages(
     enumerated = driver.run_stage(
         "candidates",
         [&] {
-          return enumerate_candidates(sketches, params.candidates,
-                                      params.theta, exec, pool);
+          if (exec.distributed) {
+            return run_candidate_job(sketches, params.candidates,
+                                     params.theta, exec);
+          }
+          CandidateJobResult local;
+          local.pairs = candidates::enumerate_pairs(
+              *sketches, params.candidates, params.theta, pool);
+          if (sketches->rows() >= 2) {
+            local.shape = candidates::resolve_band_shape(
+                params.candidates, sketches->cols(), params.theta);
+          }
+          return local;
         },
         encode_candidates, decode_candidates);
   } catch (const mr::recovery::RetryExhausted& error) {
     const std::size_t num_reads = sketches->rows();
     if (!lsh_fallback_allowed(exec, num_reads)) throw;
-    // Graceful degradation: banded enumeration keeps failing, but the
-    // input is small enough for the exact oracle — same pairs-at-θ
-    // semantics at O(n^2) cost, computed driver-side (no MR job, hence
-    // no lineage claim).
-    note_lsh_fallback(driver, "candidates", "exact all-pairs", num_reads,
+    // Graceful degradation: banded enumeration keeps failing, but the input
+    // is small enough for the exact backend's similarity stage — every pair
+    // scored at O(n^2) cost, and the exact run's labels.
+    note_lsh_fallback(driver, "candidates", "exact similarity", num_reads,
                       error);
-    candidates::Params exact = params.candidates;
-    exact.backend = candidates::Backend::kExactAllPairs;
-    enumerated = driver.run_stage(
-        "candidates-exact-fallback",
-        [&] {
-          return enumerate_candidates(sketches, exact, params.theta, exec,
-                                      pool);
-        },
-        encode_candidates, decode_candidates, {.claims_lineage = false});
+    return std::nullopt;
   }
   result.candidate_stats = std::move(enumerated.stats);
   result.sim_total_s += result.candidate_stats.timeline.total_s;
@@ -656,7 +632,7 @@ candidates::SparseSimilarityGraph run_candidate_stages(
 
 /// The pipeline as one list of recovery-driver stages, run by both
 /// executors: sketch -> {similarity | candidates -> verify}? -> cluster
-/// (greedy + LSH goes straight from sketch to its cluster sweep).  Every
+/// (greedy goes straight from sketch to its cluster sweep).  Every
 /// stage computes `exec.distributed ? <its MapReduce job> : <the
 /// in-process core call>`; both produce identical values (and therefore
 /// identical checkpoint payloads).  Stage names are the lineage stage
@@ -698,11 +674,15 @@ void run_pipeline_stages(std::span<const bio::FastaRecord> reads,
   const bool greedy = params.mode == Mode::kGreedy;
   const bool lsh = params.candidates.backend == candidates::Backend::kLshBanded;
   SimilarityMatrix matrix;
+  std::optional<candidates::SparseSimilarityGraph> graph;
   if (!greedy && lsh) {
-    const candidates::SparseSimilarityGraph graph = run_candidate_stages(
-        sketches, params, knobs, exec, pool, driver, result);
-    result.candidate_pairs = graph.edges.size();
-    matrix = similarity_matrix_from_graph(graph);
+    graph = run_candidate_stages(sketches, params, knobs, exec, pool, driver,
+                                 result);
+  }
+  if (graph) {
+    result.candidate_pairs = graph->edges.size();
+    matrix = similarity_matrix_from_graph(*graph);
+    graph.reset();
   } else if (!greedy) {
     matrix = driver.run_stage(
         "similarity",

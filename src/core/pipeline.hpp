@@ -20,6 +20,8 @@
 //                   GROUP on bucket; reduce emits candidate pairs
 //   "verify"       map: (a, b) -> ((a, b), kernel-scored similarity)
 //                   -> sparse similarity graph, densified for the cut
+//                   (an exhausted "candidates" stage on a small input
+//                   degrades to the exact "similarity" stage instead)
 //   -- every shape --
 //   "…-cluster"    GROUP ALL -> single reducer runs Algorithm 1 (greedy)
 //                   or the dendrogram build + θ-cut (Algorithm 3,
@@ -94,8 +96,8 @@ struct ExecutionOptions {
   /// every JobConfig); 0 = keep the plan's own FaultConfig value.
   double heartbeat_interval_s = 0.0;
   /// Driver-level retry policy around every stage, on either executor (see
-  /// mr::recovery::RetryPolicy / JobConfig): attempts per stage, per-attempt
-  /// wall deadline, exponential-backoff shape.  Exhaustion throws
+  /// mr::recovery::RetryPolicy): attempts per stage, per-attempt wall
+  /// deadline, exponential-backoff shape.  Exhaustion throws
   /// mr::recovery::RetryExhausted with the attempt history.
   int max_job_attempts = 1;
   double job_timeout_s = 0.0;
@@ -111,11 +113,10 @@ struct ExecutionOptions {
   std::string checkpoint_dir;
   /// Graceful degradation: when the LshBanded backend's first stage
   /// exhausts its retry budget and the input has at most this many reads,
-  /// rerun that stage exactly instead of failing the pipeline — hierarchical
-  /// reruns "candidates" as ExactAllPairs enumeration
-  /// ("candidates-exact-fallback"), greedy reruns "greedy-cluster" as the
-  /// exact sweep ("greedy-cluster-exact-fallback").  0 disables the
-  /// fallback.
+  /// run the exact backend's stage instead, for the exact backend's labels:
+  /// hierarchical runs "similarity" in place of candidates and verify,
+  /// greedy reruns "greedy-cluster" as the exact sweep
+  /// ("greedy-cluster-exact-fallback").  0 disables the fallback.
   std::size_t lsh_fallback_max_reads = 20000;
 };
 
@@ -125,15 +126,15 @@ struct PipelineResult {
   double wall_s = 0.0;       ///< real elapsed time of this process
   double sim_total_s = 0.0;  ///< simulated cluster time across all jobs
   mr::JobStats sketch_stats;
-  mr::JobStats similarity_stats;  ///< hierarchical mode, exact backend only
+  mr::JobStats similarity_stats;  ///< hierarchical mode, exact or degraded
   mr::JobStats candidate_stats;   ///< hierarchical mode, LSH backend only
   mr::JobStats verify_stats;      ///< hierarchical mode, LSH backend only
   mr::JobStats cluster_stats;
   /// Scored pairs: the (representative, read) pairs the greedy bucket sweep
   /// scored on either backend — also counter `greedy.pairs_scored` — or, in
   /// hierarchical mode, the verified LSH candidate pairs (0 under the exact
-  /// backend).  0 when the stage that scores them was served from
-  /// checkpoint.
+  /// backend and after the similarity fallback).  0 when the stage that
+  /// scores them was served from checkpoint.
   std::size_t candidate_pairs = 0;
   /// What the recovery stage driver did: checkpoint hits/misses/writes,
   /// retries, fallbacks — on either executor.
@@ -160,11 +161,12 @@ FastqPipelineResult run_pipeline_fastq(std::span<const bio::FastqRecord> reads,
                                        const ExecutionOptions& exec = {});
 
 namespace detail {
-/// Copy the execution knobs every pipeline job shares — threads, cluster,
-/// fault plan, heartbeat override, retry policy — onto a JobConfig.  Used
-/// by the pipeline's job builders and the candidate/verify jobs so a new
+/// The JobConfig of one pipeline job: `name`, `records_per_split`, one
+/// reducer per reduce slot, and the execution knobs every pipeline job
+/// shares — threads, cluster, fault plan, heartbeat override — so a new
 /// ExecutionOptions knob cannot silently miss a stage.
-void apply_exec_options(mr::JobConfig& config, const ExecutionOptions& exec);
+mr::JobConfig job_config(const std::string& name, const ExecutionOptions& exec,
+                         std::size_t records_per_split);
 }  // namespace detail
 
 /// Deterministic work models (simulated seconds on a reference node) used by

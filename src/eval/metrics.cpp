@@ -74,8 +74,8 @@ double weighted_similarity(std::span<const int> labels,
     if (indices.size() < options.min_cluster_size || indices.size() < 2) continue;
     ClusterTask task;
     task.size = indices.size();
-    const std::size_t all_pairs = indices.size() * (indices.size() - 1) / 2;
-    if (all_pairs <= options.max_pairs_per_cluster) {
+    const std::size_t cluster_pairs = indices.size() * (indices.size() - 1) / 2;
+    if (cluster_pairs <= options.max_pairs_per_cluster) {
       for (std::size_t a = 0; a < indices.size(); ++a) {
         for (std::size_t b = a + 1; b < indices.size(); ++b) {
           task.pairs.emplace_back(indices[a], indices[b]);

@@ -120,17 +120,6 @@ struct JobConfig {
   /// non-negative; crash *detection* instants move to the new grid while
   /// the crash schedule itself is untouched.
   double heartbeat_interval_s = 0.0;
-  /// Driver-level retry policy for the stage this job runs under.  The
-  /// recovery stage driver (mr::recovery::StageDriver) re-runs the whole
-  /// job up to max_job_attempts times with exponential backoff
-  /// (backoff_base_s doubling up to backoff_cap_s, seeded jitter) and
-  /// treats an attempt that outlives job_timeout_s wall seconds as failed.
-  /// Distinct from max_task_attempts, which retries single tasks inside
-  /// one job run.
-  int max_job_attempts = 1;
-  double job_timeout_s = 0.0;   ///< per-attempt wall deadline; 0 = none
-  double backoff_base_s = 0.5;
-  double backoff_cap_s = 30.0;
   std::uint64_t seed = 1;
 };
 
@@ -590,16 +579,6 @@ class Job {
                  "straggler_slowdown must be positive");
     MRMC_REQUIRE(config_.heartbeat_interval_s >= 0.0,
                  "heartbeat_interval_s must be non-negative");
-    MRMC_REQUIRE(config_.max_job_attempts >= 1,
-                 "max_job_attempts must be >= 1; 0 would mean the job never "
-                 "runs");
-    MRMC_REQUIRE(config_.job_timeout_s >= 0.0,
-                 "job_timeout_s must be non-negative (0 disables the "
-                 "deadline)");
-    MRMC_REQUIRE(config_.backoff_base_s > 0.0,
-                 "backoff_base_s must be positive");
-    MRMC_REQUIRE(config_.backoff_cap_s >= config_.backoff_base_s,
-                 "backoff_cap_s must be >= backoff_base_s");
     if (!config_.fault_plan.empty()) {
       config_.fault_plan.validate(config_.cluster.nodes);
     }

@@ -321,8 +321,7 @@ int StageDriver::run_attempts(const std::string& stage,
 
 void StageDriver::finish_stage(const std::string& stage, std::size_t sequence,
                                std::uint64_t key, const char* outcome,
-                               int attempts, std::uint64_t payload_checksum,
-                               bool claims_lineage) {
+                               int attempts, std::uint64_t payload_checksum) {
   // Absorb the payload into the fingerprint chain: downstream stage keys
   // depend on every upstream result, so any upstream change invalidates
   // everything after it — while a deterministic recompute (which reproduces
@@ -338,12 +337,10 @@ void StageDriver::finish_stage(const std::string& stage, std::size_t sequence,
   if (hit) {
     ++stats_.checkpoint_hits;
     registry.counter("recovery.checkpoint_hits").add();
-    if (claims_lineage) {
-      // Consume the lineage slot the skipped job would have claimed, so
-      // downstream jobs keep the sequence numbers of an uninterrupted run.
-      obs::pipeline::StageScope scope(stage);
-      (void)obs::pipeline::claim();
-    }
+    // Consume the lineage slot the skipped job would have claimed, so
+    // downstream jobs keep the sequence numbers of an uninterrupted run.
+    obs::pipeline::StageScope scope(stage);
+    (void)obs::pipeline::claim();
   } else {
     ++stats_.checkpoint_misses;
     registry.counter("recovery.checkpoint_misses").add();

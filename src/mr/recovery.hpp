@@ -30,8 +30,8 @@
 //     raw error.
 //
 //   * Degradation hooks.  record_lsh_fallback() lets a driver note that it
-//     replaced a repeatedly-failing LshBanded candidates stage with the
-//     ExactAllPairs path; park() aborts a driver whose cluster degraded
+//     replaced a repeatedly-failing LshBanded stage with its exact
+//     counterpart; park() aborts a driver whose cluster degraded
 //     below one schedulable node with DriverParked — the checkpoint
 //     directory holds every completed stage, so a later run resumes where
 //     it parked.
@@ -258,14 +258,6 @@ class StageDriver {
     [[nodiscard]] static Options from_env(Options base);
   };
 
-  struct StageCallOptions {
-    /// On a checkpoint hit the driver claims the stage's lineage slot (the
-    /// slot its skipped MapReduce job would have claimed) so downstream
-    /// stages keep the sequence numbers of an uninterrupted run.  Disable
-    /// for stages that run no job even when computed.
-    bool claims_lineage = true;
-  };
-
   explicit StageDriver(Options options);
 
   [[nodiscard]] bool checkpointing() const noexcept { return store_ != nullptr; }
@@ -279,7 +271,7 @@ class StageDriver {
   /// driver run.
   template <typename Compute, typename Encode, typename Decode>
   auto run_stage(const std::string& stage, Compute&& compute, Encode&& encode,
-                 Decode&& decode, StageCallOptions call = {})
+                 Decode&& decode)
       -> std::decay_t<decltype(compute())> {
     using T = std::decay_t<decltype(compute())>;
     const std::size_t sequence = sequence_++;
@@ -305,8 +297,7 @@ class StageDriver {
         value.reset();
       }
       if (value) {
-        finish_stage(stage, sequence, key, "hit", 0, fnv_checksum(*payload),
-                     call.claims_lineage);
+        finish_stage(stage, sequence, key, "hit", 0, fnv_checksum(*payload));
         return std::move(*value);
       }
       note_undecodable(file_name);
@@ -319,13 +310,13 @@ class StageDriver {
     const std::uint64_t checksum = fnv_checksum(payload);
     const bool wrote = store_->store(file_name, key, payload);
     finish_stage(stage, sequence, key, wrote ? "miss+write" : "miss", attempts,
-                 checksum, call.claims_lineage);
+                 checksum);
     maybe_crash(stage);
     return value;
   }
 
-  /// Record that the driver downgraded an LshBanded candidates stage to the
-  /// ExactAllPairs path after repeated failure.
+  /// Record that the driver downgraded an LshBanded stage to its exact
+  /// counterpart after repeated failure.
   void record_lsh_fallback(const std::string& stage);
 
   /// Stop a driver whose cluster can no longer schedule work, leaving the
@@ -352,7 +343,7 @@ class StageDriver {
                                         std::size_t sequence) const;
   void finish_stage(const std::string& stage, std::size_t sequence,
                     std::uint64_t key, const char* outcome, int attempts,
-                    std::uint64_t payload_checksum, bool claims_lineage);
+                    std::uint64_t payload_checksum);
   void note_undecodable(const std::string& file_name);
   void maybe_crash(const std::string& stage);
   void maybe_inject_failure(const std::string& stage);

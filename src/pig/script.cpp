@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -484,6 +485,47 @@ Relation decode_relation(mr::recovery::PayloadReader& reader) {
   return relation;
 }
 
+// -------------------------------------------------------- checkpoint shapes
+// A checksum-valid checkpoint can still hold a relation its statement never
+// produces, and the next stage would fail on a field of the wrong type.  So
+// a relation of any other shape is undecodable: its stage recomputes.
+
+/// A tuple's field types: one digit per field, its Value alternative.
+std::string fields_of(const Tuple& tuple) {
+  std::string fields;
+  for (const Value& value : tuple.fields) {
+    fields += static_cast<char>('0' + value.index());
+  }
+  return fields;
+}
+
+/// GROUP ALL (no `key`): at most one (bag) tuple.  GROUP BY: (key, bag)
+/// tuples whose bag tuples hold a `key` field of the key's type.  Either
+/// way the bags together hold tuples with the fields of the input's.
+bool grouped_shaped(const Relation& output, const Relation& input,
+                    std::optional<std::size_t> key) {
+  if (!key && output.size() > 1) return false;
+  std::vector<std::string> grouped;
+  std::vector<std::string> expected;
+  for (const Tuple& group : output) {
+    const Bag* bag = group.size() == (key ? 2 : 1)
+                         ? std::get_if<Bag>(&group.fields.back())
+                         : nullptr;
+    if (bag == nullptr || bag->empty()) return false;
+    for (const Tuple& tuple : *bag) {
+      if (key && (tuple.size() <= *key || tuple.fields[*key].index() !=
+                                              group.fields[0].index())) {
+        return false;
+      }
+      grouped.push_back(fields_of(tuple));
+    }
+  }
+  for (const Tuple& tuple : input) expected.push_back(fields_of(tuple));
+  std::sort(grouped.begin(), grouped.end());
+  std::sort(expected.begin(), expected.end());
+  return grouped == expected;
+}
+
 // ------------------------------------------------------------ fingerprints
 
 /// The bytes of every LOADed path as the run starts (a path the script
@@ -515,10 +557,25 @@ void run_statements(PigContext& context,
   };
   // One driver stage per MapReduce job, named after the lineage stage the
   // job claims, so a checkpoint hit re-claims the (stage, sequence) slot an
-  // uninterrupted run would.
-  const auto stage = [&driver](const std::string& name, auto compute) {
-    return driver.run_stage(name, std::move(compute), encode_relation,
-                            decode_relation);
+  // uninterrupted run would.  A checkpointed relation that fails `shaped`
+  // is undecodable.
+  const auto stage = [&driver](const std::string& name, auto compute,
+                               auto shaped) {
+    return driver.run_stage(
+        name, std::move(compute), encode_relation,
+        [&](mr::recovery::PayloadReader& reader) {
+          Relation relation = decode_relation(reader);
+          if (!shaped(relation)) throw common::Error("wrong relation shape");
+          return relation;
+        });
+  };
+
+  const auto group_all = [&](const Relation& input) {
+    return stage(
+        "group-all", [&] { return context.group_all(input); },
+        [&](const Relation& r) {
+          return grouped_shaped(r, input, std::nullopt);
+        });
   };
 
   for (const auto& statement : statements) {
@@ -533,25 +590,32 @@ void run_statements(PigContext& context,
         const auto udf = make_udf(statement, udf_seed, &last_kmer);
         Relation grouped;
         if (statement.inner_group_all) {
-          grouped = stage("group-all", [&] { return context.group_all(*input); });
+          grouped = group_all(*input);
           input = &grouped;
         }
-        result.relations[statement.target] =
-            stage(std::string("foreach-") + udf->name(),
-                  [&] { return context.foreach_generate(*input, *udf); });
+        result.relations[statement.target] = stage(
+            std::string("foreach-") + udf->name(),
+            [&] { return context.foreach_generate(*input, *udf); },
+            [&](const Relation& r) {
+              return std::all_of(r.begin(), r.end(), [&](const Tuple& tuple) {
+                return fields_of(tuple) == udf->output_fields();
+              });
+            });
         break;
       }
       case Statement::Kind::kGroupAll: {
-        const Relation& input = relation_of(statement.source);
         result.relations[statement.target] =
-            stage("group-all", [&] { return context.group_all(input); });
+            group_all(relation_of(statement.source));
         break;
       }
       case Statement::Kind::kGroupBy: {
         const Relation& input = relation_of(statement.source);
-        result.relations[statement.target] = stage("group-by", [&] {
-          return context.group_by(input, statement.field);
-        });
+        result.relations[statement.target] = stage(
+            "group-by",
+            [&] { return context.group_by(input, statement.field); },
+            [&](const Relation& r) {
+              return grouped_shaped(r, input, statement.field);
+            });
         break;
       }
       case Statement::Kind::kDistinct: {

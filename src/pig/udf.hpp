@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 
 #include "core/candidates.hpp"
 #include "core/hierarchical.hpp"
@@ -29,6 +30,8 @@ class Udf {
   [[nodiscard]] virtual const char* name() const noexcept = 0;
   /// FLATTEN semantics: each input tuple may yield several output tuples.
   virtual Bag exec(const Tuple& input) const = 0;
+  /// Every output tuple's fields, one digit each: its Value alternative.
+  [[nodiscard]] virtual std::string_view output_fields() const noexcept = 0;
 };
 
 /// DNA characters -> integer codes (A=0 C=1 G=2 T=3, ambiguous = -1).
@@ -36,6 +39,7 @@ class StringGenerator final : public Udf {
  public:
   [[nodiscard]] const char* name() const noexcept override { return "StringGenerator"; }
   Bag exec(const Tuple& input) const override;
+  [[nodiscard]] std::string_view output_fields() const noexcept override { return "30"; }
 };
 
 /// Integer codes -> packed k-mer feature set (sorted unique).
@@ -44,6 +48,7 @@ class TranslateToKmer final : public Udf {
   explicit TranslateToKmer(int k);
   [[nodiscard]] const char* name() const noexcept override { return "TranslateToKmer"; }
   Bag exec(const Tuple& input) const override;
+  [[nodiscard]] std::string_view output_fields() const noexcept override { return "30"; }
 
  private:
   int k_;
@@ -59,6 +64,7 @@ class CalculateMinwiseHash final : public Udf {
     return "CalculateMinwiseHash";
   }
   Bag exec(const Tuple& input) const override;
+  [[nodiscard]] std::string_view output_fields() const noexcept override { return "30"; }
 
  private:
   std::shared_ptr<core::MinHasher> hasher_;
@@ -79,6 +85,7 @@ class CalculatePairwiseSimilarity final : public Udf {
     return "CalculatePairwiseSimilarity";
   }
   Bag exec(const Tuple& input) const override;
+  [[nodiscard]] std::string_view output_fields() const noexcept override { return "140"; }
 
  private:
   core::SketchEstimator estimator_;
@@ -94,6 +101,7 @@ class AgglomerativeHierarchicalClustering final : public Udf {
     return "AgglomerativeHierarchicalClustering";
   }
   Bag exec(const Tuple& input) const override;
+  [[nodiscard]] std::string_view output_fields() const noexcept override { return "01"; }
 
  private:
   core::Linkage linkage_;
@@ -106,6 +114,7 @@ class GreedyClustering final : public Udf {
   GreedyClustering(double cutoff, core::SketchEstimator estimator);
   [[nodiscard]] const char* name() const noexcept override { return "GreedyClustering"; }
   Bag exec(const Tuple& input) const override;
+  [[nodiscard]] std::string_view output_fields() const noexcept override { return "01"; }
 
  private:
   double cutoff_;

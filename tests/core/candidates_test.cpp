@@ -236,6 +236,96 @@ TEST(EnumeratePairs, ExactBackendIsAllPairs) {
   }
 }
 
+/// The LSH candidate definition computed directly: i < j are candidates
+/// when some band key of i equals some band key of j (in any band).
+std::vector<candidates::Pair> band_key_pairs(const kernels::SketchMatrix& matrix,
+                                             const candidates::Params& params,
+                                             double theta) {
+  const std::size_t n = matrix.rows();
+  std::vector<candidates::Pair> pairs;
+  if (n < 2) return pairs;
+  const auto shape = candidates::resolve_band_shape(params, matrix.cols(), theta);
+  std::vector<std::vector<std::uint64_t>> keys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t band = 0; band < shape.bands; ++band) {
+      keys[i].push_back(
+          candidates::band_bucket_key(matrix.row(i), band, shape, params.seed));
+    }
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      const bool shared = std::any_of(
+          keys[i].begin(), keys[i].end(), [&](std::uint64_t key) {
+            return std::find(keys[j].begin(), keys[j].end(), key) !=
+                   keys[j].end();
+          });
+      if (shared) pairs.emplace_back(i, j);
+    }
+  }
+  return pairs;
+}
+
+TEST(EnumeratePairs, EveryPairSharingABandKeyAndAllPairsWhenExact) {
+  // Noisy families: about 200 reads, many but not all pairs share a band.
+  const auto all = family_sketches(20, 10, 40, 0.3, 14);
+  for (const std::size_t n : {0, 1, 2, 200}) {
+    const auto matrix = n == 0 ? kernels::SketchMatrix(0, 40)
+                               : kernels::SketchMatrix::from_sketches(
+                                     std::span<const Sketch>(all.data(), n));
+    std::vector<candidates::Pair> every;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      for (std::uint32_t j = i + 1; j < n; ++j) every.emplace_back(i, j);
+    }
+    EXPECT_EQ(candidates::enumerate_pairs(matrix, {}, 0.5), every) << n;
+    // Automatic shapes at two thresholds, an explicit shape, and rows = 1.
+    for (const auto& [bands, theta] :
+         {std::pair<std::size_t, double>{0, 0.9}, {0, 0.3}, {8, 0.5},
+          {40, 0.5}}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " bands=" << bands
+                                      << " theta=" << theta);
+      const auto params = banded(bands);
+      const auto pairs = candidates::enumerate_pairs(matrix, params, theta);
+      EXPECT_EQ(pairs, band_key_pairs(matrix, params, theta));
+      if (n == 200) {
+        EXPECT_LT(pairs.size(), every.size());
+      }
+    }
+  }
+}
+
+TEST(EnumeratePairs, KeysSharedAcrossBandsAreOneBucket) {
+  // rows = 1, so band b's key is mix(mix(seed ^ b·φ) ^ sketch[b]); the
+  // component that makes band 1's key equal band 0's is solved for, and the
+  // construction is checked below.
+  const candidates::Params params = banded(4);
+  const candidates::BandShape shape{4, 1};
+  const std::uint64_t shift =
+      common::mix64(params.seed) ^
+      common::mix64(params.seed ^ 0x9e3779b97f4a7c15ULL);
+  common::Xoshiro256 rng(15);
+  const Sketch lone = random_sketch(rng, 4);
+  Sketch twin_bands = random_sketch(rng, 4);  // its bands 0 and 1 share a key
+  twin_bands[1] = twin_bands[0] ^ shift;
+  Sketch cross = random_sketch(rng, 4);  // its band 1 = band 0 of `lone`
+  cross[1] = lone[0] ^ shift;
+  const std::vector<Sketch> sketches{lone, twin_bands, random_sketch(rng, 4),
+                                     cross, twin_bands};
+  const auto matrix =
+      kernels::SketchMatrix::from_sketches(std::span<const Sketch>(sketches));
+  const auto key = [&](std::size_t row, std::size_t band) {
+    return candidates::band_bucket_key(matrix.row(row), band, shape,
+                                       params.seed);
+  };
+  ASSERT_EQ(key(1, 0), key(1, 1));
+  ASSERT_EQ(key(3, 1), key(0, 0));
+
+  const auto pairs = candidates::enumerate_pairs(matrix, params, 0.5);
+  EXPECT_EQ(pairs, band_key_pairs(matrix, params, 0.5));
+  // (0, 3) share a key only across bands; reads 1 and 4 fill their shared
+  // bucket twice each, which yields (1, 4) once and no self-pair.
+  EXPECT_EQ(pairs, (std::vector<candidates::Pair>{{0, 3}, {1, 4}}));
+}
+
 TEST(EnumeratePairs, LshIsASortedUniqueSubsetContainingTruePairs) {
   const auto matrix = family_matrix(8, 6, 40, 0.02, 12);
   candidates::Params params;
@@ -630,18 +720,22 @@ class CandidateJobTest : public ::testing::Test {
   }
 };
 
-TEST_F(CandidateJobTest, MatchesLocalEnumerationExactAndLsh) {
+TEST_F(CandidateJobTest, MatchesLocalLshEnumeration) {
   const auto sketches = shared_family(21);
   const auto& matrix = *sketches;
   ExecutionOptions exec;
-
-  const auto exact = run_candidate_job(sketches, {}, 0.9, exec);
-  EXPECT_EQ(exact.pairs, candidates::enumerate_pairs(matrix, {}, 0.9));
 
   const auto lsh = run_candidate_job(sketches, lsh_params(), 0.9, exec);
   EXPECT_EQ(lsh.pairs, candidates::enumerate_pairs(matrix, lsh_params(), 0.9));
   EXPECT_EQ(lsh.shape.bands, 8u);
   EXPECT_GT(lsh.stats.input_records, 0u);
+}
+
+TEST_F(CandidateJobTest, RejectsTheExactBackend) {
+  // The exact backend has no candidates job: hierarchical mode runs the
+  // similarity stage instead.
+  EXPECT_THROW((void)run_candidate_job(shared_family(21), {}, 0.9, {}),
+               common::InvalidArgument);
 }
 
 TEST_F(CandidateJobTest, ByteIdenticalAcrossThreadsSplitsAndNodes) {

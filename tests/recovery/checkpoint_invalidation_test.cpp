@@ -238,10 +238,12 @@ TEST(Invalidation, ForgedPigRelationIsACorruptCheckpoint) {
   const std::string hier_bytes = dfs.read("/h");
 
   // The first "group-all" (sequence 3) relation claims 2^61 tuples, then
-  // nests bags 100 000 deep.
+  // nests bags 100 000 deep, then decodes cleanly but in the wrong shape:
+  // one bag whose one tuple holds a bag instead of a (minwise, id) tuple.
   const std::filesystem::path victim = checkpoint_of(dir, 3);
   for (const std::string& payload :
-       {count_only_payload(1ULL << 61), nested_bags_payload(100000)}) {
+       {count_only_payload(1ULL << 61), nested_bags_payload(100000),
+        nested_bags_payload(2)}) {
     forge_payload(victim, payload);
     const pig::Algorithm3Result rerun = run();
     EXPECT_EQ(rerun.hierarchical, first.hierarchical);

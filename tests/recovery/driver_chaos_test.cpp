@@ -289,12 +289,26 @@ TEST(DriverChaos, LshCandidatesExhaustionDegradesToExactAllPairs) {
       exec.max_job_attempts = 2;
       exec.backoff_base_s = 1e-3;
       exec.backoff_cap_s = 2e-3;
+      PipelineParams exact_params = c.params;
+      exact_params.candidates = {};
+      const PipelineResult exact = run_pipeline(reads, exact_params, exec);
 
       ScopedEnv fail("MRMC_FAIL_STAGE", fail_spec);
       const PipelineResult degraded = run_pipeline(reads, c.params, exec);
       EXPECT_EQ(degraded.recovery.lsh_fallbacks, 1u);
       EXPECT_EQ(degraded.labels.size(), reads.size());
       EXPECT_GT(degraded.num_clusters, 0u);
+      // The degraded stage is its exact counterpart: the exact backend's
+      // labels.  Hierarchical runs the similarity stage and no verify:
+      // sketch, similarity, hierarchical-cluster.
+      EXPECT_EQ(degraded.labels, exact.labels);
+      if (c.params.mode == Mode::kHierarchical) {
+        EXPECT_EQ(degraded.recovery.stages, 3u);
+        EXPECT_EQ(degraded.verify_stats.input_records, 0u);
+        EXPECT_EQ(degraded.verify_stats.map_tasks, 0u);
+        EXPECT_EQ(degraded.similarity_stats.map_tasks,
+                  exact.similarity_stats.map_tasks);
+      }
 
       // The degraded path is itself deterministic.
       const PipelineResult again = run_pipeline(reads, c.params, exec);
@@ -307,17 +321,6 @@ TEST(DriverChaos, LshCandidatesExhaustionDegradesToExactAllPairs) {
                    mr::recovery::RetryExhausted);
     }
   }
-
-  // The degraded greedy stage is the exact sweep: exact-backend labels.
-  PipelineParams exact_params = pipeline_cases()[2].params;
-  exact_params.candidates = {};
-  const PipelineResult exact =
-      run_pipeline(reads, exact_params, exec_options(2, {}, ""));
-  ExecutionOptions exec = exec_options(2, {}, "");
-  exec.max_job_attempts = 1;
-  ScopedEnv fail("MRMC_FAIL_STAGE", "greedy-cluster:1");
-  EXPECT_EQ(run_pipeline(reads, pipeline_cases()[2].params, exec).labels,
-            exact.labels);
 }
 
 }  // namespace
