@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   for (const auto& read : sample.reads) sketches.push_back(hasher.sketch(read.seq));
 
   const auto matrix = core::pairwise_similarity_matrix(
-      sketches, core::SketchEstimator::kComponentMatch, nullptr);
+      core::kernels::SketchMatrix::from_sketches(sketches),
+      core::SketchEstimator::kComponentMatch, nullptr);
 
   common::TextTable table({"linkage", "theta", "# Cluster", "W.Acc"});
   for (const auto linkage : {core::Linkage::kSingle, core::Linkage::kAverage,

@@ -113,7 +113,8 @@ std::vector<core::Sketch> bench_sketches(std::size_t count) {
 }
 
 void BM_SimilarityMatrix(benchmark::State& state) {
-  const auto sketches = bench_sketches(static_cast<std::size_t>(state.range(0)));
+  const auto sketches = core::kernels::SketchMatrix::from_sketches(
+      bench_sketches(static_cast<std::size_t>(state.range(0))));
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::pairwise_similarity_matrix(
         sketches, core::SketchEstimator::kComponentMatch, nullptr));
@@ -123,9 +124,10 @@ void BM_SimilarityMatrix(benchmark::State& state) {
 BENCHMARK(BM_SimilarityMatrix)->Arg(100)->Arg(200)->Arg(400)->Complexity();
 
 void BM_Agglomerate(benchmark::State& state) {
-  const auto sketches = bench_sketches(static_cast<std::size_t>(state.range(0)));
   const auto matrix = core::pairwise_similarity_matrix(
-      sketches, core::SketchEstimator::kComponentMatch, nullptr);
+      core::kernels::SketchMatrix::from_sketches(
+          bench_sketches(static_cast<std::size_t>(state.range(0)))),
+      core::SketchEstimator::kComponentMatch, nullptr);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::agglomerate(matrix, core::Linkage::kAverage));
   }

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "core/kernels.hpp"
-#include "mr/block.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pipeline.hpp"
 
@@ -19,12 +18,13 @@ CandidateJobResult run_candidate_job(
                "the candidates job enumerates LSH bucket-mates");
   CandidateJobResult result;
   const std::size_t n = sketches->rows();
-  if (n < 2) return result;
-
   obs::pipeline::StageScope stage("candidates");
   const std::size_t sketch_size = sketches->cols();
+  // Fewer than two reads resolve no shape (as build_bucket_index) and map
+  // no records, so the mapper never reads `shape`.
   const candidates::BandShape shape =
-      candidates::resolve_band_shape(params, sketch_size, theta);
+      n < 2 ? candidates::BandShape{}
+            : candidates::resolve_band_shape(params, sketch_size, theta);
   result.shape = shape;
   const std::uint64_t seed = params.seed;
 
@@ -68,8 +68,10 @@ CandidateJobResult run_candidate_job(
     return m * 20e-9 + m * (m - 1.0) * 1e-9;  // sort + pair emission
   });
 
-  std::vector<std::uint32_t> input(n);
-  for (std::size_t i = 0; i < n; ++i) input[i] = static_cast<std::uint32_t>(i);
+  std::vector<std::uint32_t> input(n < 2 ? 0 : n);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<std::uint32_t>(i);
+  }
   auto run = job.run(input);
   result.stats = std::move(run.stats);
 
@@ -86,92 +88,45 @@ CandidateJobResult run_candidate_job(
 VerifyJobResult run_verify_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const std::vector<candidates::Pair>& pairs, SketchEstimator estimator,
-    std::size_t sketch_bits, const ExecutionOptions& exec) {
+    const ExecutionOptions& exec) {
+  obs::pipeline::StageScope stage("verify");
   VerifyJobResult result;
   result.graph.num_vertices = sketches->rows();
-  if (pairs.empty()) return result;
-
-  obs::pipeline::StageScope stage("verify");
   const std::size_t num_hashes = sketches->cols();
 
-  // Shared read-only scoring structures, built once and visible to every
-  // map task (the sketch table plays Pig's GROUP-ALL broadcast relation).
-  // Below 64 bits the rows are b-bit packed and scored with the packed
-  // count_equal kernel (the sketch job already truncated every value).
-  const bool set_based = estimator == SketchEstimator::kSetBased;
-  auto store = set_based ? std::make_shared<const SortedSketchStore>(*sketches)
-                         : nullptr;
-  std::shared_ptr<const kernels::PackedSketchMatrix> packed;
-  if (!set_based && sketch_bits < 64) {
-    packed = std::make_shared<const kernels::PackedSketchMatrix>(
-        kernels::PackedSketchMatrix::pack(*sketches, sketch_bits));
-  }
-  const double inv_cols =
-      num_hashes == 0 ? 0.0 : 1.0 / static_cast<double>(num_hashes);
-
+  // One scorer, built once and shared read-only by every map task and the
+  // driver (the sketch table plays Pig's GROUP-ALL broadcast relation).
   // Instead of one ((a, b), double) record per pair, each map task ships one
-  // BinaryBlock of integer counts per split — match counts (≤ K) in one
-  // column, or |∩|,|∪| (≤ 2K) in two — and the driver rebuilds the same
-  // doubles positionally: `pairs` is sorted unique and splits partition it
-  // in order, so split s covers pairs [s · per_split, ...) verbatim and the
-  // final edge list needs no re-sort.
-  const std::uint32_t lane_bits =
-      mr::min_lane_bits(set_based ? 2 * num_hashes : num_hashes);
-  using VerifyJob = mr::Job<candidates::Pair, std::uint32_t, mr::BinaryBlock,
-                            std::pair<std::uint32_t, mr::BinaryBlock>>;
+  // block of the split's integer counts, and the driver scores them in
+  // `pairs` order: `pairs` is sorted unique, so the edge list needs no
+  // re-sort.
+  const candidates::PairScorer scorer(*sketches, estimator);
   const std::size_t per_split = std::max<std::size_t>(
       exec.records_per_split,
       pairs.size() / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
-  auto config = detail::job_config("verify", exec, per_split);
-
-  VerifyJob job(
-      config,
-      [sketches, store, packed, set_based, lane_bits](
-          std::span<const candidates::Pair> split, std::size_t split_index,
-          mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
-        mr::BinaryBlock block(lane_bits, split.size(), set_based ? 2 : 1);
+  const auto blocks = detail::run_block_job(
+      detail::job_config("verify", exec, per_split), pairs,
+      [&scorer](std::span<const candidates::Pair> split,
+                mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
+        mr::BinaryBlock block = detail::count_block(scorer, split.size());
         for (std::size_t r = 0; r < split.size(); ++r) {
-          const auto [a, b] = split[r];
-          if (set_based) {
-            const auto [inter, uni] = store->jaccard_counts(a, b);
-            block.set(0, r, inter);
-            block.set(1, r, uni);
-          } else if (packed != nullptr) {
-            block.set(0, r, packed->count_equal_rows(a, b));
-          } else if (sketches->cols() != 0) {
-            block.set(0, r,
-                      kernels::count_equal(sketches->row(a), sketches->row(b)));
-          }
+          detail::put_counts(block, r,
+                             scorer.counts(split[r].first, split[r].second));
           emit.count("verify.pairs_scored");
         }
-        emit.emit(static_cast<std::uint32_t>(split_index), std::move(block));
+        return block;
       },
-      [](const std::uint32_t& key, std::vector<mr::BinaryBlock>& values,
-         std::vector<std::pair<std::uint32_t, mr::BinaryBlock>>& out) {
-        MRMC_CHECK(values.size() == 1, "one count block per pair split");
-        out.emplace_back(key, std::move(values.front()));
-      });
-  job.with_map_work([num_hashes](const candidates::Pair&) {
-    return cost::compare_work(num_hashes);
-  });
+      [num_hashes](const candidates::Pair&) {
+        return cost::compare_work(num_hashes);
+      },
+      result.stats);
 
-  auto run = job.run(pairs);
-  result.stats = std::move(run.stats);
-
-  // Positional rejoin against the sorted-unique input pairs: edges come out
-  // in canonical (a, b) order by construction.
-  result.graph.edges.resize(pairs.size());
-  for (const auto& [split_index, block] : run.output) {
-    const std::size_t base = static_cast<std::size_t>(split_index) * per_split;
+  result.graph.edges.reserve(pairs.size());
+  for (const mr::BinaryBlock& block : blocks) {
     for (std::uint64_t r = 0; r < block.rows(); ++r) {
-      const auto [a, b] = pairs[base + r];
-      double sim = 0.0;
-      if (set_based) {
-        sim = jaccard_from_counts(block.get(0, r), block.get(1, r));
-      } else {
-        sim = static_cast<double>(block.get(0, r)) * inv_cols;
-      }
-      result.graph.edges[base + r] = candidates::Edge{a, b, sim};
+      const auto [a, b] = pairs[result.graph.edges.size()];
+      result.graph.edges.push_back(
+          candidates::Edge{a, b, scorer.score(detail::get_counts(block, r))});
     }
   }
   return result;

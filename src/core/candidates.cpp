@@ -170,13 +170,6 @@ PairScorer::PairScorer(const kernels::SketchMatrix& sketches,
                     ? 0.0
                     : 1.0 / static_cast<double>(sketches.cols())) {}
 
-double PairScorer::operator()(std::size_t a, std::size_t b) const noexcept {
-  if (set_based_) return store_.jaccard(a, b);
-  return static_cast<double>(
-             kernels::count_equal(sketches_.row(a), sketches_.row(b))) *
-         inv_cols_;
-}
-
 SparseSimilarityGraph verify_pairs(const kernels::SketchMatrix& sketches,
                                    std::span<const Pair> pairs,
                                    SketchEstimator estimator,

@@ -29,6 +29,7 @@
 // vs AVX2 kernel backends.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -158,16 +159,53 @@ struct SparseSimilarityGraph {
   std::vector<Edge> edges;
 };
 
-/// The similarity of sketch rows (a, b), a < b, under `estimator`: the one
-/// copy of the arithmetic verify_pairs and the greedy bucket sweep share, so
-/// their threshold decisions agree bit for bit.  Component-match is
-/// count_equal · (1/cols), the reciprocal multiply of
-/// kernels::component_match_matrix; set-based is SortedSketchStore::jaccard.
+/// The similarity of sketch rows (a, b) under `estimator`: the one copy of
+/// the pair-scoring arithmetic.  verify_pairs, the greedy bucket sweep,
+/// eval::candidate_recall's oracle, set-based pairwise_similarity_matrix and
+/// the similarity and verify MapReduce jobs all score through it, so their
+/// threshold decisions agree bit for bit.
+///
+/// A score is two steps: counts() gives the integer lanes behind it, and
+/// score() maps them to the double.  Component-match fills lane 0 with
+/// count_equal and scores it as count · (1/cols), the reciprocal multiply of
+/// kernels::component_match_matrix.  Set-based fills lanes 0 and 1 with
+/// |∩| and |∪| of the sorted unique minima (SortedSketchStore) and scores
+/// them with jaccard_from_counts.  The MapReduce jobs ship the counts
+/// (lanes() columns of values ≤ max_count()) and the driver calls score() on
+/// what arrives, so both sides compute the identical double.
 class PairScorer {
  public:
+  /// Lane 0 and, set-based only, lane 1 of one pair's counts.
+  using Counts = std::array<std::uint64_t, 2>;
+
   PairScorer(const kernels::SketchMatrix& sketches, SketchEstimator estimator);
 
-  [[nodiscard]] double operator()(std::size_t a, std::size_t b) const noexcept;
+  /// How many lanes of Counts carry data: 1 component-match, 2 set-based.
+  [[nodiscard]] std::uint32_t lanes() const noexcept {
+    return set_based_ ? 2 : 1;
+  }
+  /// The largest value a lane can hold: cols matches, or 2 · cols for |∪|.
+  [[nodiscard]] std::uint64_t max_count() const noexcept {
+    return set_based_ ? 2 * sketches_.cols() : sketches_.cols();
+  }
+
+  [[nodiscard]] Counts counts(std::size_t a, std::size_t b) const noexcept {
+    if (set_based_) {
+      const auto [inter, uni] = store_.jaccard_counts(a, b);
+      return {inter, uni};
+    }
+    return {kernels::count_equal(sketches_.row(a), sketches_.row(b)), 0};
+  }
+
+  /// The one counts-to-double map.
+  [[nodiscard]] double score(const Counts& counts) const noexcept {
+    if (set_based_) return jaccard_from_counts(counts[0], counts[1]);
+    return static_cast<double>(counts[0]) * inv_cols_;
+  }
+
+  [[nodiscard]] double operator()(std::size_t a, std::size_t b) const noexcept {
+    return score(counts(a, b));
+  }
 
  private:
   const kernels::SketchMatrix& sketches_;

@@ -21,72 +21,32 @@ const char* linkage_name(Linkage linkage) noexcept {
 SimilarityMatrix::SimilarityMatrix(std::size_t n, float fill)
     : n_(n), data_(n * n, fill) {}
 
-namespace {
-
-/// Set-based all-pairs fill over pre-sorted sketches, so each comparison is
-/// a linear merge.
-SimilarityMatrix set_based_matrix(const SortedSketchStore& store,
-                                  common::ThreadPool* pool) {
-  const std::size_t n = store.size();
+SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketches,
+                                            SketchEstimator estimator,
+                                            common::ThreadPool* pool) {
+  const std::size_t n = sketches.rows();
   SimilarityMatrix matrix(n, 0.0F);
+  if (estimator == SketchEstimator::kComponentMatch) {
+    if (n != 0) {
+      // Cache-blocked SIMD fill straight into the matrix storage.
+      kernels::component_match_matrix(sketches, matrix.mutable_data(), n,
+                                      kernels::active_backend(), pool);
+    }
+    return matrix;
+  }
+  // Set-based: the pair scorer pre-sorts every sketch once, so each
+  // comparison is a linear merge.
+  const candidates::PairScorer similarity(sketches, estimator);
   auto fill_row = [&](std::size_t i) {
     matrix.set(i, i, 1.0F);
     for (std::size_t j = i + 1; j < n; ++j) {
-      matrix.set(i, j, static_cast<float>(store.jaccard(i, j)));
+      matrix.set(i, j, static_cast<float>(similarity(i, j)));
     }
   };
   if (pool != nullptr && n > 64) {
     pool->parallel_for(n, fill_row);
   } else {
     for (std::size_t i = 0; i < n; ++i) fill_row(i);
-  }
-  return matrix;
-}
-
-}  // namespace
-
-SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketches,
-                                            SketchEstimator estimator,
-                                            common::ThreadPool* pool) {
-  if (estimator == SketchEstimator::kSetBased) {
-    return set_based_matrix(SortedSketchStore(sketches), pool);
-  }
-  const std::size_t n = sketches.rows();
-  SimilarityMatrix matrix(n, 0.0F);
-  if (n != 0) {
-    // Cache-blocked SIMD fill straight into the matrix storage.
-    kernels::component_match_matrix(sketches, matrix.mutable_data(), n,
-                                    kernels::active_backend(), pool);
-  }
-  return matrix;
-}
-
-SimilarityMatrix pairwise_similarity_matrix(std::span<const Sketch> sketches,
-                                            SketchEstimator estimator,
-                                            common::ThreadPool* pool) {
-  const std::size_t n = sketches.size();
-  const bool uniform = std::all_of(
-      sketches.begin(), sketches.end(), [&](const Sketch& s) {
-        return s.size() == sketches.front().size();
-      });
-  if (n == 0 || (uniform && estimator == SketchEstimator::kComponentMatch)) {
-    return pairwise_similarity_matrix(kernels::SketchMatrix::from_sketches(sketches),
-                                      estimator, pool);
-  }
-  if (estimator == SketchEstimator::kSetBased) {
-    // The store handles ragged lengths too; same merge as the matrix path.
-    return set_based_matrix(SortedSketchStore(sketches), pool);
-  }
-
-  // Ragged component-match (not produced by MinHasher): legacy per-pair
-  // semantics — mismatched lengths score 0.
-  SimilarityMatrix matrix(n, 0.0F);
-  for (std::size_t i = 0; i < n; ++i) {
-    matrix.set(i, i, 1.0F);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      matrix.set(i, j, static_cast<float>(
-                           component_match_similarity(sketches[i], sketches[j])));
-    }
   }
   return matrix;
 }

@@ -51,16 +51,11 @@ class SimilarityMatrix {
 };
 
 /// All-pairs sketch similarity over the flat sketch store.  Component-match
-/// runs the cache-blocked SIMD tile kernel; set-based pre-sorts once into a
-/// SortedSketchStore.  When `pool` is non-null blocks/rows are computed in
-/// parallel (the paper's row-wise partition, Section III-C); the result is
-/// identical at any thread count.
+/// runs the cache-blocked SIMD tile kernel; set-based scores every pair with
+/// candidates::PairScorer.  When `pool` is non-null blocks/rows are computed
+/// in parallel (the paper's row-wise partition, Section III-C); the result
+/// is identical at any thread count.
 SimilarityMatrix pairwise_similarity_matrix(const kernels::SketchMatrix& sketches,
-                                            SketchEstimator estimator,
-                                            common::ThreadPool* pool = nullptr);
-
-/// vector<Sketch> convenience wrapper (gathers into a SketchMatrix first).
-SimilarityMatrix pairwise_similarity_matrix(std::span<const Sketch> sketches,
                                             SketchEstimator estimator,
                                             common::ThreadPool* pool = nullptr);
 

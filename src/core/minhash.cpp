@@ -122,18 +122,6 @@ Sketch MinHasher::sketch(std::string_view seq) const {
   return sketch_features(features);
 }
 
-std::vector<Sketch> MinHasher::sketch_all(
-    std::span<const std::string_view> seqs, common::ThreadPool* pool) const {
-  std::vector<Sketch> sketches(seqs.size());
-  auto sketch_one = [&](std::size_t i) { sketches[i] = sketch(seqs[i]); };
-  if (pool != nullptr && seqs.size() > 1) {
-    pool->parallel_for(seqs.size(), sketch_one);
-  } else {
-    for (std::size_t i = 0; i < seqs.size(); ++i) sketch_one(i);
-  }
-  return sketches;
-}
-
 kernels::SketchMatrix MinHasher::sketch_matrix(
     std::span<const std::string_view> seqs, common::ThreadPool* pool) const {
   kernels::SketchMatrix matrix(seqs.size(), sketch_size());
@@ -161,13 +149,6 @@ void SortedSketchStore::append(std::span<const std::uint64_t> sketch,
   scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
   values_.insert(values_.end(), scratch.begin(), scratch.end());
   offsets_.push_back(values_.size());
-}
-
-SortedSketchStore::SortedSketchStore(std::span<const Sketch> sketches) {
-  offsets_.reserve(sketches.size() + 1);
-  offsets_.push_back(0);
-  std::vector<std::uint64_t> scratch;
-  for (const auto& sketch : sketches) append(sketch, scratch);
 }
 
 SortedSketchStore::SortedSketchStore(const kernels::SketchMatrix& sketches) {

@@ -164,14 +164,9 @@ class MinHasher {
   void sketch_features_into(std::span<const std::uint64_t> features,
                             std::span<std::uint64_t> out) const;
 
-  /// Sketches for many sequences.  When `pool` is non-null, reads are
+  /// Sketches for many sequences in one flat row-major matrix (the
+  /// similarity kernels' native layout).  When `pool` is non-null, reads are
   /// sketched in parallel; the result is identical at any thread count.
-  [[nodiscard]] std::vector<Sketch> sketch_all(
-      std::span<const std::string_view> seqs,
-      common::ThreadPool* pool = nullptr) const;
-
-  /// Batched variant: all sketches in one flat row-major matrix (the
-  /// similarity kernels' native layout).
   [[nodiscard]] kernels::SketchMatrix sketch_matrix(
       std::span<const std::string_view> seqs,
       common::ThreadPool* pool = nullptr) const;
@@ -182,13 +177,23 @@ class MinHasher {
   std::optional<CMinHashFamily> cmin_;  ///< engaged when scheme == kCMinHash
 };
 
+/// Jaccard from integer (|∩|, |∪|) counts; |∪| == 0 means both sets were
+/// empty, which counts as identical — the same convention as
+/// bio::exact_jaccard, so driver-side reconstruction from shuffled counts is
+/// bit-identical to mapper-side doubles.
+[[nodiscard]] constexpr double jaccard_from_counts(
+    std::uint64_t intersection, std::uint64_t unions) noexcept {
+  return unions == 0 ? 1.0
+                     : static_cast<double>(intersection) /
+                           static_cast<double>(unions);
+}
+
 /// Pre-sorted unique minima of a set of sketches, stored flat so repeated
 /// set-based comparisons (greedy sweeps, medoid scans, matrix fills) pay the
 /// sort once per sketch instead of twice per pair.
 class SortedSketchStore {
  public:
   SortedSketchStore() = default;
-  explicit SortedSketchStore(std::span<const Sketch> sketches);
   explicit SortedSketchStore(const kernels::SketchMatrix& sketches);
 
   [[nodiscard]] std::size_t size() const noexcept {
@@ -197,15 +202,15 @@ class SortedSketchStore {
   [[nodiscard]] std::span<const std::uint64_t> row(std::size_t i) const noexcept {
     return {values_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
   }
-  /// == bio::exact_jaccard over the sorted unique minima of sketches i and j.
-  [[nodiscard]] double jaccard(std::size_t i, std::size_t j) const noexcept {
-    return bio::exact_jaccard(row(i), row(j));
-  }
-  /// The integer (|∩|, |∪|) behind jaccard(i, j) — what the binary shuffle
-  /// blocks ship so the driver can rebuild the identical double via
-  /// jaccard_from_counts.
+  /// The integer (|∩|, |∪|) of the sorted unique minima of sketches i and
+  /// j: the lanes candidates::PairScorer ships and scores.
   [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> jaccard_counts(
       std::size_t i, std::size_t j) const noexcept;
+  /// == bio::exact_jaccard over the sorted unique minima of sketches i and j.
+  [[nodiscard]] double jaccard(std::size_t i, std::size_t j) const noexcept {
+    const auto [inter, uni] = jaccard_counts(i, j);
+    return jaccard_from_counts(inter, uni);
+  }
 
  private:
   void append(std::span<const std::uint64_t> sketch,
@@ -290,17 +295,6 @@ class SortedSketchStore {
 [[nodiscard]] constexpr double set_based_equivalent_threshold(
     double theta) noexcept {
   return 2.0 * theta / (1.0 + theta);
-}
-
-/// Jaccard from integer (|∩|, |∪|) counts; |∪| == 0 means both sets were
-/// empty, which counts as identical — the same convention as
-/// bio::exact_jaccard, so driver-side reconstruction from shuffled counts is
-/// bit-identical to mapper-side doubles.
-[[nodiscard]] constexpr double jaccard_from_counts(
-    std::uint64_t intersection, std::uint64_t unions) noexcept {
-  return unions == 0 ? 1.0
-                     : static_cast<double>(intersection) /
-                           static_cast<double>(unions);
 }
 
 }  // namespace mrmc::core

@@ -12,7 +12,6 @@
 #include "common/timer.hpp"
 #include "core/candidate_jobs.hpp"
 #include "core/kernels.hpp"
-#include "mr/block.hpp"
 #include "mr/bytes.hpp"
 #include "mr/runtime.hpp"
 #include "obs/log.hpp"
@@ -114,82 +113,47 @@ EffectiveKnobs effective_knobs(const PipelineParams& params) noexcept {
           SketchEstimator::kComponentMatch};
 }
 
-/// In-process sketch stage: the batched kernel over every read, then the
-/// same b-bit truncation the sketch job applies before packing, so local
-/// and distributed runs score identical values at any b.
+/// The sketch stage's computation, shared by both executors: the batched
+/// kernel over `seqs`, then the b-bit truncation (a no-op at b = 64), so
+/// local and distributed runs score identical values at any b.
+kernels::SketchMatrix sketch_seqs(const MinHasher& hasher,
+                                  std::span<const std::string_view> seqs,
+                                  std::size_t bits, common::ThreadPool* pool) {
+  kernels::SketchMatrix sketches = hasher.sketch_matrix(seqs, pool);
+  if (bits < 64) kernels::mask_components(sketches, sketch_bits_mask(bits));
+  return sketches;
+}
+
+/// In-process sketch stage: every read at once, on `pool`.
 kernels::SketchMatrix sketch_reads(std::span<const bio::FastaRecord> reads,
                                    const PipelineParams& params,
                                    common::ThreadPool* pool) {
   std::vector<std::string_view> seqs;
   seqs.reserve(reads.size());
   for (const auto& read : reads) seqs.emplace_back(read.seq);
-  kernels::SketchMatrix sketches =
-      MinHasher(params.minhash).sketch_matrix(seqs, pool);
-  if (params.sketch_bits < 64) {
-    kernels::mask_components(sketches, sketch_bits_mask(params.sketch_bits));
-  }
-  return sketches;
+  return sketch_seqs(MinHasher(params.minhash), seqs, params.sketch_bits,
+                     pool);
 }
 
-/// Job 1: sketch every read.  Each map task emits ONE BinaryBlock per input
-/// split — K rows × (reads in split) columns of b-bit packed minima —
-/// instead of one vector<uint64_t> per read, so the shuffle moves the exact
-/// packed bytes (64/b-fold less at b < 64, and no per-record vector header
-/// even at b = 64).  The identity reduce passes blocks through; the driver
-/// rejoins them positionally via split_index · records_per_split.
+/// Job 1: sketch every read.  Each map task runs sketch_seqs over its split
+/// and emits ONE BinaryBlock — K rows × (reads in split) columns of b-bit
+/// packed minima — instead of one vector<uint64_t> per read, so the shuffle
+/// moves the exact packed bytes (64/b-fold less at b < 64, and no
+/// per-record vector header even at b = 64).
 kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
                                      const PipelineParams& params,
                                      const ExecutionOptions& exec,
                                      mr::JobStats& stats) {
   obs::pipeline::StageScope stage("sketch");
-  auto hasher = std::make_shared<MinHasher>(params.minhash);
+  const MinHasher hasher(params.minhash);
   const std::size_t num_hashes = params.minhash.num_hashes;
   const std::size_t bits = params.sketch_bits;
-  const std::uint64_t mask = sketch_bits_mask(bits);
-
-  using SketchJob = mr::Job<IndexedRead, std::uint32_t, mr::BinaryBlock,
-                            std::pair<std::uint32_t, mr::BinaryBlock>>;
-  const mr::JobConfig config =
-      detail::job_config("sketch", exec, exec.records_per_split);
-  const std::size_t per_split = config.records_per_split;
 
   auto& sketch_bytes_hist =
       obs::Registry::global().histogram("pipeline.sketch_bytes");
   auto& sketch_minima_hist =
       obs::Registry::global().histogram("pipeline.sketch_distinct_minima");
-  SketchJob job(
-      config,
-      [hasher, num_hashes, bits, mask, &sketch_bytes_hist,
-       &sketch_minima_hist](std::span<const IndexedRead> split,
-                            std::size_t split_index,
-                            mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
-        mr::BinaryBlock block(static_cast<std::uint32_t>(bits), num_hashes,
-                              static_cast<std::uint32_t>(split.size()));
-        const double column_bytes = cost::packed_sketch_bytes(num_hashes, bits);
-        for (std::size_t c = 0; c < split.size(); ++c) {
-          Sketch sketch = hasher->sketch(split[c].seq);
-          // Truncate first: the histogram and every downstream consumer see
-          // the same b-bit values (at b = 64 the mask is a no-op).
-          for (std::uint64_t& value : sketch) value &= mask;
-          for (std::size_t k = 0; k < num_hashes; ++k) {
-            block.set(static_cast<std::uint32_t>(c), k, sketch[k]);
-          }
-          sketch_bytes_hist.observe(column_bytes);
-          thread_local std::vector<std::uint64_t> scratch;
-          sketch_minima_hist.observe(
-              static_cast<double>(kernels::count_distinct(sketch, scratch)));
-          emit.count("reads.sketched");
-        }
-        emit.emit(static_cast<std::uint32_t>(split_index), std::move(block));
-      },
-      [](const std::uint32_t& key, std::vector<mr::BinaryBlock>& values,
-         std::vector<std::pair<std::uint32_t, mr::BinaryBlock>>& out) {
-        MRMC_CHECK(values.size() == 1, "one sketch block per split");
-        out.emplace_back(key, std::move(values.front()));
-      });
-  job.with_map_work([num_hashes](const IndexedRead& read) {
-    return cost::sketch_work(read.seq.size(), num_hashes);
-  });
+  const double column_bytes = cost::packed_sketch_bytes(num_hashes, bits);
 
   std::vector<IndexedRead> input;
   input.reserve(reads.size());
@@ -197,15 +161,41 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
     input.push_back({static_cast<std::uint32_t>(i), reads[i].seq});
   }
 
-  auto result = job.run(input);
-  stats = std::move(result.stats);
+  const auto blocks = detail::run_block_job(
+      detail::job_config("sketch", exec, exec.records_per_split), input,
+      [&](std::span<const IndexedRead> split,
+          mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
+        std::vector<std::string_view> seqs;
+        seqs.reserve(split.size());
+        for (const IndexedRead& read : split) seqs.emplace_back(read.seq);
+        const kernels::SketchMatrix sketched =
+            sketch_seqs(hasher, seqs, bits, nullptr);
+        mr::BinaryBlock block(static_cast<std::uint32_t>(bits), num_hashes,
+                              static_cast<std::uint32_t>(split.size()));
+        thread_local std::vector<std::uint64_t> scratch;
+        for (std::size_t c = 0; c < split.size(); ++c) {
+          const auto sketch = sketched.row(c);
+          for (std::size_t k = 0; k < num_hashes; ++k) {
+            block.set(static_cast<std::uint32_t>(c), k, sketch[k]);
+          }
+          sketch_bytes_hist.observe(column_bytes);
+          sketch_minima_hist.observe(
+              static_cast<double>(kernels::count_distinct(sketch, scratch)));
+          emit.count("reads.sketched");
+        }
+        return block;
+      },
+      [num_hashes](const IndexedRead& read) {
+        return cost::sketch_work(read.seq.size(), num_hashes);
+      },
+      stats);
 
-  // Positional rejoin: split s covers reads [s · per_split, ...).
+  // Block s holds reads [s · records_per_split, ...), one per column.
   kernels::SketchMatrix sketches(reads.size(), num_hashes);
-  for (const auto& [split_index, block] : result.output) {
-    const std::size_t first = static_cast<std::size_t>(split_index) * per_split;
+  std::size_t next = 0;
+  for (const mr::BinaryBlock& block : blocks) {
     for (std::uint32_t c = 0; c < block.cols(); ++c) {
-      const auto row = sketches.row(first + c);
+      const auto row = sketches.row(next++);
       for (std::size_t k = 0; k < num_hashes; ++k) row[k] = block.get(c, k);
     }
   }
@@ -215,13 +205,12 @@ kernels::SketchMatrix run_sketch_job(std::span<const bio::FastaRecord> reads,
 /// Job 2: all-pairs similarity, map tasks own contiguous row ranges (the
 /// paper's row-wise partition).  The sketch table plays the role of Pig's
 /// GROUP-ALL broadcast relation.  Instead of a vector<float> per row, each
-/// map task ships ONE BinaryBlock of *integer counts* per split —
-/// component-match: one match-count lane per pair (width 8/16/32 bits,
-/// whatever holds K); set-based: two lanes (|∩|, |∪|) — and the driver
-/// rebuilds the identical floats: float(count · (1/K)) uses the exact
-/// reciprocal multiply of the mapper, and jaccard_from_counts mirrors
-/// bio::exact_jaccard.  A pair costs one packed lane instead of a 4-byte
-/// float (≥ 4× fewer shuffle bytes at K ≤ 255).
+/// map task ships ONE BinaryBlock per split of candidates::PairScorer
+/// counts — one match-count lane per pair (width 8/16/32 bits, whatever
+/// holds K), or two lanes |∩|, |∪| set-based — and the driver scores them
+/// with the same PairScorer, so its floats are the mapper's.  A pair costs
+/// one packed lane instead of a 4-byte float (≥ 4× fewer shuffle bytes at
+/// K ≤ 255).
 SimilarityMatrix run_similarity_job(
     std::shared_ptr<const kernels::SketchMatrix> sketches,
     const PipelineParams& params, const EffectiveKnobs& knobs,
@@ -229,107 +218,62 @@ SimilarityMatrix run_similarity_job(
   obs::pipeline::StageScope stage("similarity");
   const std::size_t n = sketches->rows();
   const std::size_t num_hashes = params.minhash.num_hashes;
-  const SketchEstimator estimator = knobs.estimator;
-  const bool set_based = estimator == SketchEstimator::kSetBased;
 
-  // Count lanes: match counts are ≤ K; set-based |∩| and |∪| are ≤ 2K.
-  const std::uint32_t lane_bits =
-      mr::min_lane_bits(set_based ? 2 * num_hashes : num_hashes);
-
-  using SimJob = mr::Job<std::uint32_t, std::uint32_t, mr::BinaryBlock,
-                         std::pair<std::uint32_t, mr::BinaryBlock>>;
-
-  const std::size_t per_split = std::max<std::size_t>(
-      1, n / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
-  const mr::JobConfig config =
-      detail::job_config("similarity", exec, per_split);
-
-  // Set-based rows re-compare every sketch pair; pre-sort each sketch once
-  // into a flat store shared (read-only) by all map tasks instead of sorting
-  // two copies per pair inside the row loop.
-  auto store = set_based ? std::make_shared<const SortedSketchStore>(*sketches)
-                         : nullptr;
-  const double inv_cols =
-      num_hashes == 0 ? 0.0 : 1.0 / static_cast<double>(num_hashes);
+  // One scorer shared read-only by every map task and the driver; set-based
+  // pre-sorts each sketch once instead of two copies per pair.
+  const candidates::PairScorer scorer(*sketches, knobs.estimator);
 
   // Per-row fan-out: how many of the row's pairs clear theta — the density
   // signal that decides whether sparse clustering would pay off.
   auto& fanout_hist =
       obs::Registry::global().histogram("pipeline.similarity_fanout");
   const auto theta = static_cast<float>(knobs.theta);
-  SimJob job(
-      config,
-      [sketches, store, set_based, inv_cols, lane_bits, theta, &fanout_hist](
-          std::span<const std::uint32_t> split, std::size_t split_index,
-          mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
-        const auto& all = *sketches;
-        const std::size_t n_reads = all.rows();
-        // One ragged column: row r contributes n - r - 1 lanes, upper
-        // triangle in row order (the driver knows the lengths).
-        std::uint64_t total = 0;
-        for (const std::uint32_t row : split) total += n_reads - row - 1;
-        mr::BinaryBlock block(lane_bits, total, set_based ? 2 : 1);
-        std::uint64_t lane = 0;
-        for (const std::uint32_t row : split) {
-          std::size_t fanout = 0;
-          for (std::size_t j = row + 1; j < n_reads; ++j) {
-            double sim = 0.0;
-            if (set_based) {
-              const auto [inter, uni] = store->jaccard_counts(row, j);
-              block.set(0, lane, inter);
-              block.set(1, lane, uni);
-              sim = jaccard_from_counts(inter, uni);
-            } else {
-              const std::size_t eq =
-                  all.cols() == 0
-                      ? 0
-                      : kernels::count_equal(all.row(row), all.row(j));
-              block.set(0, lane, eq);
-              sim = static_cast<double>(eq) * inv_cols;
-            }
-            if (static_cast<float>(sim) >= theta) ++fanout;
-            ++lane;
-          }
-          fanout_hist.observe(static_cast<double>(fanout));
-          emit.count("matrix.rows");
-        }
-        emit.emit(static_cast<std::uint32_t>(split_index), std::move(block));
-      },
-      [](const std::uint32_t& key, std::vector<mr::BinaryBlock>& values,
-         std::vector<std::pair<std::uint32_t, mr::BinaryBlock>>& out) {
-        MRMC_CHECK(values.size() == 1, "one count block per row split");
-        out.emplace_back(key, std::move(values.front()));
-      });
-  job.with_map_work([n, num_hashes](const std::uint32_t& row) {
-    return static_cast<double>(n - row - 1) * cost::compare_work(num_hashes);
-  });
 
   std::vector<std::uint32_t> rows(n);
   for (std::size_t i = 0; i < n; ++i) rows[i] = static_cast<std::uint32_t>(i);
 
-  auto result = job.run(rows);
-  stats = std::move(result.stats);
+  const std::size_t per_split = std::max<std::size_t>(
+      1, n / std::max<std::size_t>(1, exec.cluster.map_slots() * 4));
+  const auto blocks = detail::run_block_job(
+      detail::job_config("similarity", exec, per_split), rows,
+      [&scorer, n, theta, &fanout_hist](
+          std::span<const std::uint32_t> split,
+          mr::Emitter<std::uint32_t, mr::BinaryBlock>& emit) {
+        // One lane per pair: row r contributes n - r - 1, upper triangle in
+        // row order (the driver knows the lengths).
+        std::uint64_t total = 0;
+        for (const std::uint32_t row : split) total += n - row - 1;
+        mr::BinaryBlock block = detail::count_block(scorer, total);
+        std::uint64_t lane = 0;
+        for (const std::uint32_t row : split) {
+          std::size_t fanout = 0;
+          for (std::size_t j = row + 1; j < n; ++j) {
+            const auto counts = scorer.counts(row, j);
+            detail::put_counts(block, lane++, counts);
+            if (static_cast<float>(scorer.score(counts)) >= theta) ++fanout;
+          }
+          fanout_hist.observe(static_cast<double>(fanout));
+          emit.count("matrix.rows");
+        }
+        return block;
+      },
+      [n, num_hashes](const std::uint32_t& row) {
+        return static_cast<double>(n - row - 1) *
+               cost::compare_work(num_hashes);
+      },
+      stats);
 
-  // Positional rejoin: split s starts at row s · per_split; within the
-  // block, lanes follow the mapper's (row, j) iteration order exactly.
+  // Block s starts at row s · per_split; its lanes follow the mapper's
+  // (row, j) order.
   SimilarityMatrix matrix(n, 0.0F);
-  for (const auto& [split_index, block] : result.output) {
-    const std::size_t first = static_cast<std::size_t>(split_index) * per_split;
-    const std::size_t last = std::min(first + per_split, n);
+  for (std::size_t s = 0; s < blocks.size(); ++s) {
     std::uint64_t lane = 0;
-    for (std::size_t row = first; row < last; ++row) {
+    for (std::size_t row = s * per_split;
+         row < std::min((s + 1) * per_split, n); ++row) {
       matrix.set(row, row, 1.0F);
       for (std::size_t j = row + 1; j < n; ++j) {
-        float sim = 0.0F;
-        if (set_based) {
-          sim = static_cast<float>(
-              jaccard_from_counts(block.get(0, lane), block.get(1, lane)));
-        } else {
-          sim = static_cast<float>(
-              static_cast<double>(block.get(0, lane)) * inv_cols);
-        }
-        matrix.set(row, j, sim);
-        ++lane;
+        const auto counts = detail::get_counts(blocks[s], lane++);
+        matrix.set(row, j, static_cast<float>(scorer.score(counts)));
       }
     }
   }
@@ -619,9 +563,8 @@ std::optional<candidates::SparseSimilarityGraph> run_candidate_stages(
           return candidates::verify_pairs(*sketches, enumerated.pairs,
                                           knobs.estimator, pool);
         }
-        auto verified = run_verify_job(sketches, enumerated.pairs,
-                                       knobs.estimator, params.sketch_bits,
-                                       exec);
+        auto verified =
+            run_verify_job(sketches, enumerated.pairs, knobs.estimator, exec);
         result.verify_stats = std::move(verified.stats);
         return std::move(verified.graph);
       },

@@ -11,17 +11,25 @@
 // sequence depends on the mode and the candidate backend
 // (PipelineParams::candidates):
 //
-//   "sketch"       map: read -> (read_index, sketch)        [always; map-heavy]
+//   "sketch"       map: split of reads -> one block of their sketches,
+//                   computed by the local stage's own code  [always;
+//                   map-heavy]
 //   -- hierarchical, exact all-pairs backend (the paper's shape) --
-//   "similarity"   map: row  -> (row, sims[row+1..N))       [the paper's
-//                   row-wise partition of the matrix]
+//   "similarity"   map: split of rows -> one block of the PairScorer counts
+//                   of (row, j > row)  [the paper's row-wise partition of
+//                   the matrix]; the driver scores them into the matrix
 //   -- hierarchical, LSH-banded backend --
 //   "candidates"   map: (read, sketch) -> per-band (bucket_key, read);
 //                   GROUP on bucket; reduce emits candidate pairs
-//   "verify"       map: (a, b) -> ((a, b), kernel-scored similarity)
-//                   -> sparse similarity graph, densified for the cut
+//   "verify"       map: split of pairs -> one block of their PairScorer
+//                   counts; the driver scores them into the sparse
+//                   similarity graph, densified for the cut
 //                   (an exhausted "candidates" stage on a small input
 //                   degrades to the exact "similarity" stage instead)
+//
+// The sketch, similarity and verify jobs ship one mr::BinaryBlock per split
+// through an identity reduce (detail::run_block_job), and every stage runs
+// exactly one job, even on empty input.
 //   -- every shape --
 //   "…-cluster"    GROUP ALL -> single reducer runs Algorithm 1 (greedy)
 //                   or the dendrogram build + θ-cut (Algorithm 3,

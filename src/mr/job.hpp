@@ -163,6 +163,15 @@ struct JobResult {
   JobStats stats;
 };
 
+/// The reducer of a job whose map keys are unique: passes each key's one
+/// value through as a (key, value) output.
+template <typename K, typename V>
+void identity_reduce(const K& key, std::vector<V>& values,
+                     std::vector<std::pair<K, V>>& out) {
+  MRMC_CHECK(values.size() == 1, "identity reduce: one value per key");
+  out.emplace_back(key, std::move(values.front()));
+}
+
 template <typename In, typename K, typename V, typename Out>
 class Job {
  public:

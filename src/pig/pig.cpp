@@ -115,11 +115,7 @@ Relation PigContext::foreach_generate(const Relation& input, const Udf& udf) {
           emit.emit(record.index * kFlattenStride + sub++, std::move(out));
         }
       },
-      [](const long& key, std::vector<Tuple>& values,
-         std::vector<std::pair<long, Tuple>>& out) {
-        MRMC_CHECK(values.size() == 1, "ordering keys are unique");
-        out.emplace_back(key, std::move(values.front()));
-      });
+      mr::identity_reduce<long, Tuple>);  // ordering keys are unique
 
   auto output = run_indexed(job, input);
   std::sort(output.begin(), output.end(),

@@ -107,25 +107,25 @@ CalculatePairwiseSimilarity::CalculatePairwiseSimilarity(
 
 Bag CalculatePairwiseSimilarity::exec(const Tuple& input) const {
   const auto& group = input.get<Bag>(0);
-  std::vector<core::Sketch> sketches;
-  sketches.reserve(group.size());
+  std::vector<core::Sketch> gathered;
+  gathered.reserve(group.size());
   for (const Tuple& tuple : group) {
-    sketches.push_back(to_sketch(tuple.get<std::vector<long>>(0)));
+    gathered.push_back(to_sketch(tuple.get<std::vector<long>>(0)));
   }
+  // Throws common::InvalidArgument on a ragged group.
+  const auto sketches = core::kernels::SketchMatrix::from_sketches(gathered);
 
   // Core's all-pairs matrix, or the densified LSH candidate graph (absent
   // pairs stay 0): the same similarity code run_pipeline uses.
   const core::SimilarityMatrix matrix =
       candidates_.backend == core::candidates::Backend::kLshBanded
           ? core::similarity_matrix_from_graph(core::candidates::build_graph(
-                core::kernels::SketchMatrix::from_sketches(sketches),
-                candidates_, theta_, estimator_))
-          : core::pairwise_similarity_matrix(
-                std::span<const core::Sketch>(sketches), estimator_);
+                sketches, candidates_, theta_, estimator_))
+          : core::pairwise_similarity_matrix(sketches, estimator_);
 
   Bag rows;
   rows.reserve(group.size());
-  for (std::size_t i = 0; i < sketches.size(); ++i) {
+  for (std::size_t i = 0; i < group.size(); ++i) {
     const auto upper = matrix.row(i).subspan(i + 1);
     Tuple row;
     row.fields.emplace_back(static_cast<long>(i));

@@ -770,9 +770,33 @@ TEST_F(CandidateJobTest, VerifyJobMatchesLocalScoring) {
        {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
     const auto pairs = candidates::enumerate_pairs(matrix, lsh_params(), 0.9);
     const auto local = candidates::verify_pairs(matrix, pairs, estimator);
-    const auto job = run_verify_job(sketches, pairs, estimator, 64, exec);
+    const auto job = run_verify_job(sketches, pairs, estimator, exec);
     EXPECT_EQ(job.graph.num_vertices, local.num_vertices);
     EXPECT_EQ(job.graph.edges, local.edges);
+  }
+  // b-bit sketches, truncated as the sketch stage leaves them: count_equal
+  // over the masked rows counts exactly the packed b-bit matches.
+  for (const std::size_t bits : {std::size_t{8}, std::size_t{16}}) {
+    kernels::SketchMatrix masked = matrix;
+    kernels::mask_components(masked, sketch_bits_mask(bits));
+    const auto truncated =
+        std::make_shared<const kernels::SketchMatrix>(std::move(masked));
+    const auto pairs =
+        candidates::enumerate_pairs(*truncated, lsh_params(), 0.9);
+    ASSERT_FALSE(pairs.empty());
+    const auto local = candidates::verify_pairs(
+        *truncated, pairs, SketchEstimator::kComponentMatch);
+    const auto job = run_verify_job(truncated, pairs,
+                                    SketchEstimator::kComponentMatch, exec);
+    EXPECT_EQ(job.graph.edges, local.edges) << "bits=" << bits;
+    const auto packed = kernels::PackedSketchMatrix::pack(*truncated, bits);
+    const double inv_cols = 1.0 / static_cast<double>(truncated->cols());
+    for (const candidates::Edge& edge : job.graph.edges) {
+      EXPECT_EQ(edge.similarity,
+                static_cast<double>(packed.count_equal_rows(edge.a, edge.b)) *
+                    inv_cols)
+          << "bits=" << bits;
+    }
   }
 }
 
@@ -784,7 +808,7 @@ TEST_F(CandidateJobTest, FaultPlanLeavesCandidatesAndEdgesIdentical) {
       run_candidate_job(sketches, lsh_params(), 0.9, healthy);
   const auto reference_edges =
       run_verify_job(sketches, reference.pairs,
-                     SketchEstimator::kComponentMatch, 64, healthy);
+                     SketchEstimator::kComponentMatch, healthy);
 
   // Node 1 crashes early and never recovers; with 4 nodes at least one
   // stays up and the job replays the lost splits.
@@ -794,7 +818,7 @@ TEST_F(CandidateJobTest, FaultPlanLeavesCandidatesAndEdgesIdentical) {
   const auto chaos = run_candidate_job(sketches, lsh_params(), 0.9, faulty);
   EXPECT_EQ(chaos.pairs, reference.pairs);
   const auto chaos_edges = run_verify_job(
-      sketches, chaos.pairs, SketchEstimator::kComponentMatch, 64, faulty);
+      sketches, chaos.pairs, SketchEstimator::kComponentMatch, faulty);
   EXPECT_EQ(chaos_edges.graph.edges, reference_edges.graph.edges);
 }
 

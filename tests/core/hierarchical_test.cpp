@@ -41,7 +41,8 @@ TEST(PairwiseSimilarityMatrix, DiagonalIsOneAndSymmetric) {
     for (auto& v : sketch) v = rng.bounded(8);  // collisions likely
   }
   const auto matrix = pairwise_similarity_matrix(
-      sketches, SketchEstimator::kComponentMatch, nullptr);
+      kernels::SketchMatrix::from_sketches(sketches),
+      SketchEstimator::kComponentMatch, nullptr);
   ASSERT_EQ(matrix.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_FLOAT_EQ(matrix.at(i, i), 1.0F);
@@ -60,10 +61,11 @@ TEST(PairwiseSimilarityMatrix, ParallelMatchesSequential) {
     for (auto& v : sketch) v = rng.bounded(4);
   }
   common::ThreadPool pool(3);
+  const auto matrix = kernels::SketchMatrix::from_sketches(sketches);
   const auto sequential = pairwise_similarity_matrix(
-      sketches, SketchEstimator::kComponentMatch, nullptr);
-  const auto parallel =
-      pairwise_similarity_matrix(sketches, SketchEstimator::kComponentMatch, &pool);
+      matrix, SketchEstimator::kComponentMatch, nullptr);
+  const auto parallel = pairwise_similarity_matrix(
+      matrix, SketchEstimator::kComponentMatch, &pool);
   for (std::size_t i = 0; i < sketches.size(); ++i) {
     for (std::size_t j = 0; j < sketches.size(); ++j) {
       EXPECT_FLOAT_EQ(sequential.at(i, j), parallel.at(i, j));

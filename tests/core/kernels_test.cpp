@@ -254,7 +254,7 @@ TEST(SketchMatrix, RoundTripsThroughSketchVectors) {
   }
 }
 
-TEST(SketchMatrix, SketchMatrixMatchesSketchAll) {
+TEST(SketchMatrix, SketchMatrixRowsMatchIndividualSketches) {
   common::Xoshiro256 rng(23);
   std::vector<std::string> seqs;
   for (int i = 0; i < 12; ++i) seqs.push_back(random_seq(rng, 80));
@@ -262,12 +262,13 @@ TEST(SketchMatrix, SketchMatrixMatchesSketchAll) {
 
   const MinHasher hasher({.kmer = 5, .num_hashes = 17, .seed = 4});
   common::ThreadPool pool(4);
-  const auto serial = hasher.sketch_all(views);
-  const auto pooled = hasher.sketch_all(views, &pool);
-  EXPECT_EQ(serial, pooled);
-  EXPECT_EQ(kernels::SketchMatrix::from_sketches(serial),
+  std::vector<Sketch> individual;
+  for (const std::string_view view : views) {
+    individual.push_back(hasher.sketch(view));
+  }
+  EXPECT_EQ(kernels::SketchMatrix::from_sketches(individual),
             hasher.sketch_matrix(views));
-  EXPECT_EQ(kernels::SketchMatrix::from_sketches(serial),
+  EXPECT_EQ(kernels::SketchMatrix::from_sketches(individual),
             hasher.sketch_matrix(views, &pool));
 }
 
@@ -279,7 +280,7 @@ TEST(SortedSketchStore, MatchesSetBasedSimilarity) {
   for (auto& sketch : sketches) {
     for (auto& v : sketch) v = rng.bounded(12);  // lots of duplicate minima
   }
-  const SortedSketchStore store{std::span<const Sketch>(sketches)};
+  const SortedSketchStore store(kernels::SketchMatrix::from_sketches(sketches));
   ASSERT_EQ(store.size(), sketches.size());
   for (std::size_t i = 0; i < sketches.size(); ++i) {
     for (std::size_t j = 0; j < sketches.size(); ++j) {
@@ -339,26 +340,6 @@ TEST(SimilarityMatrixEquivalence, BackendsAndThreadCountsAgree) {
                 << " pooled=" << (p != nullptr) << " cell " << i << "," << j;
           }
         }
-      }
-    }
-  }
-}
-
-TEST(SimilarityMatrixEquivalence, FlatMatrixMatchesSketchSpanPath) {
-  const auto reads = make_reads(40, 37);
-  std::vector<std::string_view> views;
-  for (const auto& read : reads) views.emplace_back(read.seq);
-  const MinHasher hasher({.kmer = 5, .num_hashes = 16, .seed = 5});
-  const auto sketches = hasher.sketch_all(views);
-  const auto matrix = hasher.sketch_matrix(views);
-  for (const SketchEstimator estimator :
-       {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
-    const SimilarityMatrix via_span =
-        pairwise_similarity_matrix(std::span<const Sketch>(sketches), estimator);
-    const SimilarityMatrix via_matrix = pairwise_similarity_matrix(matrix, estimator);
-    for (std::size_t i = 0; i < via_span.size(); ++i) {
-      for (std::size_t j = 0; j < via_span.size(); ++j) {
-        ASSERT_EQ(via_span.at(i, j), via_matrix.at(i, j));
       }
     }
   }

@@ -12,6 +12,7 @@
 #include "bio/kmer.hpp"
 #include "common/error.hpp"
 #include "common/prng.hpp"
+#include "core/candidates.hpp"
 
 namespace mrmc::core {
 namespace {
@@ -108,15 +109,6 @@ TEST(MinHasher, SubsetHasComponentwiseGreaterOrEqualMinima) {
 TEST(MinHasher, RejectsBadK) {
   EXPECT_THROW(MinHasher({.kmer = 0}), common::InvalidArgument);
   EXPECT_THROW(MinHasher({.kmer = 32}), common::InvalidArgument);
-}
-
-TEST(MinHasher, SketchAllMatchesIndividualSketches) {
-  const MinHasher hasher({.kmer = 4, .num_hashes = 8, .seed = 6});
-  const std::vector<std::string_view> seqs{"ACGTACGTAA", "TTGGCCAATT"};
-  const auto sketches = hasher.sketch_all(seqs);
-  ASSERT_EQ(sketches.size(), 2u);
-  EXPECT_EQ(sketches[0], hasher.sketch(seqs[0]));
-  EXPECT_EQ(sketches[1], hasher.sketch(seqs[1]));
 }
 
 // --------------------------------------------------------------- estimators
@@ -436,7 +428,7 @@ TEST(SortedSketchStore, JaccardCountsRebuildTheExactDouble) {
     for (auto& v : s) v = rng.bounded(64);  // plenty of duplicates
     sketches.push_back(std::move(s));
   }
-  const SortedSketchStore store{std::span<const Sketch>(sketches)};
+  const SortedSketchStore store(kernels::SketchMatrix::from_sketches(sketches));
   for (std::size_t i = 0; i < sketches.size(); ++i) {
     for (std::size_t j = i; j < sketches.size(); ++j) {
       const auto [inter, uni] = store.jaccard_counts(i, j);
@@ -444,6 +436,35 @@ TEST(SortedSketchStore, JaccardCountsRebuildTheExactDouble) {
     }
   }
   EXPECT_DOUBLE_EQ(jaccard_from_counts(0, 0), 1.0);  // both-empty convention
+
+  // candidates::PairScorer: counts -> score is its direct score bit for bit,
+  // and that score is the store's Jaccard (set-based) or the reciprocal
+  // multiply of the dense kernel (component-match), zero-length rows too.
+  const kernels::SketchMatrix tables[] = {
+      kernels::SketchMatrix::from_sketches(sketches),
+      kernels::SketchMatrix(3, 0)};
+  for (const kernels::SketchMatrix& table : tables) {
+    const SortedSketchStore sorted(table);
+    const double inv_cols =
+        table.cols() == 0 ? 0.0 : 1.0 / static_cast<double>(table.cols());
+    for (const auto estimator :
+         {SketchEstimator::kComponentMatch, SketchEstimator::kSetBased}) {
+      const candidates::PairScorer scorer(table, estimator);
+      for (std::size_t i = 0; i < table.rows(); ++i) {
+        for (std::size_t j = 0; j < table.rows(); ++j) {
+          const double direct = scorer(i, j);
+          EXPECT_EQ(scorer.score(scorer.counts(i, j)), direct);
+          EXPECT_EQ(direct,
+                    estimator == SketchEstimator::kSetBased
+                        ? sorted.jaccard(i, j)
+                        : static_cast<double>(kernels::count_equal(
+                              table.row(i), table.row(j))) *
+                              inv_cols)
+              << "cols=" << table.cols() << " i=" << i << " j=" << j;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

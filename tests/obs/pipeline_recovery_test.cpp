@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/mini_json.hpp"
+#include "common/prng.hpp"
 #include "core/pipeline.hpp"
 #include "mr/recovery.hpp"
 #include "obs/trace.hpp"
@@ -50,19 +51,31 @@ class PipelineRecoveryTest : public ::testing::Test {
         .reads;
   }
 
-  static core::PipelineResult run_checkpointed(const std::string& ckpt_dir,
-                                               const std::string& trace_path) {
+  static core::PipelineParams sample_params() {
     core::PipelineParams params;
     params.minhash = {.kmer = 5, .num_hashes = 40, .canonical = true,
                       .seed = 1};
     params.mode = core::Mode::kHierarchical;
     params.theta = 0.5;
+    return params;
+  }
+
+  static core::PipelineResult run_checkpointed(
+      const std::vector<bio::FastaRecord>& reads,
+      const core::PipelineParams& params, const std::string& ckpt_dir,
+      const std::string& trace_path) {
     core::ExecutionOptions exec;
     exec.threads = 2;
     exec.records_per_split = 16;
     exec.checkpoint_dir = ckpt_dir;
     Tracer::global().set_output_path(trace_path);
-    return core::run_pipeline(sample_reads(), params, exec);
+    return core::run_pipeline(reads, params, exec);
+  }
+
+  static core::PipelineResult run_checkpointed(const std::string& ckpt_dir,
+                                               const std::string& trace_path) {
+    return run_checkpointed(sample_reads(), sample_params(), ckpt_dir,
+                            trace_path);
   }
 
   /// The pipelines the live tracer holds — what MRMC_PIPELINE renders.
@@ -148,32 +161,76 @@ TEST_F(PipelineRecoveryTest, ResumedRunIsRecoveryOnlyAndStillRoundTrips) {
 }
 
 TEST_F(PipelineRecoveryTest, CrashedThenResumedRunKeepsStageNamesAligned) {
-  // Kill the driver after "similarity"; the resumed run claims the killed
-  // stages' lineage slots from checkpoint, so its computed stage keeps the
-  // sequence number an uninterrupted run would give it.
-  const std::string ckpt_dir = fresh_dir("crash");
-  ::setenv("MRMC_CRASH_AFTER_STAGE", "similarity", 1);
-  EXPECT_THROW(run_checkpointed(ckpt_dir, ::testing::TempDir() +
-                                              "/mrmc_crash_trace.json"),
-               mr::recovery::InjectedDriverCrash);
-  ::unsetenv("MRMC_CRASH_AFTER_STAGE");
-  Tracer::global().clear();
+  // Kill the driver after the last stage before clustering; the resumed run
+  // claims the killed stages' lineage slots from checkpoint, so its computed
+  // stage keeps the sequence number an uninterrupted run gives it.  The
+  // second case is hierarchical + LSH on unrelated random reads: no
+  // candidate pair survives, and the verify stage must still run (and so
+  // claim) its one job.
+  struct Case {
+    std::string crash_after;
+    std::vector<bio::FastaRecord> reads;
+    core::PipelineParams params;
+    std::size_t hits;  ///< stages served from checkpoint on resume
+  };
+  std::vector<bio::FastaRecord> random_reads(40);
+  common::Xoshiro256 rng(7);
+  for (std::size_t i = 0; i < random_reads.size(); ++i) {
+    random_reads[i].id = std::string("r").append(std::to_string(i));
+    for (int b = 0; b < 100; ++b) random_reads[i].seq += "ACGT"[rng.bounded(4)];
+  }
+  core::PipelineParams lsh;
+  lsh.minhash = {.kmer = 15, .num_hashes = 64, .seed = 1};
+  lsh.mode = core::Mode::kHierarchical;
+  lsh.theta = 0.9;
+  lsh.candidates.backend = core::candidates::Backend::kLshBanded;
+  const std::vector<Case> cases{
+      {"similarity", sample_reads(), sample_params(), 2},
+      {"verify", random_reads, lsh, 3}};
 
-  const std::string trace_path =
-      ::testing::TempDir() + "/mrmc_resume_trace.json";
-  run_checkpointed(ckpt_dir, trace_path);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.crash_after);
+    const auto cluster_sequence = [](const PipelineReport& report) {
+      for (const StageReport& stage : report.stages) {
+        if (stage.job.name == "hierarchical-cluster") return stage.job.sequence;
+      }
+      ADD_FAILURE() << "no hierarchical-cluster job";
+      return std::size_t{0};
+    };
 
-  const std::vector<PipelineReport> in_process = traced_reports();
-  ASSERT_EQ(in_process.size(), 1u);
-  // One computed job, two checkpoint hits — and the computed job landed on
-  // the sequence slot of an uninterrupted run (2, after the two hits).
-  ASSERT_EQ(in_process[0].stages.size(), 1u);
-  EXPECT_EQ(in_process[0].stages[0].job.name, "hierarchical-cluster");
-  EXPECT_EQ(in_process[0].stages[0].job.sequence, 2u);  // slots 0-1 were
-                                                        // claimed by the hits
-  EXPECT_EQ(in_process[0].recovery.hits, 2u);
-  EXPECT_EQ(in_process[0].recovery.misses, 1u);
-  EXPECT_TRUE(has_finding(in_process[0], "checkpoint-resume"));
+    Tracer::global().clear();
+    const core::PipelineResult straight =
+        run_checkpointed(c.reads, c.params, fresh_dir("straight"),
+                         ::testing::TempDir() + "/mrmc_straight_trace.json");
+    EXPECT_EQ(straight.candidate_pairs, 0u);
+    const std::vector<PipelineReport> uninterrupted = traced_reports();
+    ASSERT_EQ(uninterrupted.size(), 1u);
+    // Every stage before clustering ran one job.
+    EXPECT_EQ(cluster_sequence(uninterrupted[0]), c.hits);
+
+    const std::string ckpt_dir = fresh_dir("crash");
+    ::setenv("MRMC_CRASH_AFTER_STAGE", c.crash_after.c_str(), 1);
+    const std::string crash_trace =
+        ::testing::TempDir() + "/mrmc_crash_trace.json";
+    EXPECT_THROW(run_checkpointed(c.reads, c.params, ckpt_dir, crash_trace),
+                 mr::recovery::InjectedDriverCrash);
+    ::unsetenv("MRMC_CRASH_AFTER_STAGE");
+    Tracer::global().clear();
+
+    run_checkpointed(c.reads, c.params, ckpt_dir,
+                     ::testing::TempDir() + "/mrmc_resume_trace.json");
+    const std::vector<PipelineReport> in_process = traced_reports();
+    ASSERT_EQ(in_process.size(), 1u);
+    // One computed job after the checkpoint hits, on the sequence slot of
+    // the uninterrupted run.
+    ASSERT_EQ(in_process[0].stages.size(), 1u);
+    EXPECT_EQ(in_process[0].stages[0].job.name, "hierarchical-cluster");
+    EXPECT_EQ(in_process[0].stages[0].job.sequence,
+              cluster_sequence(uninterrupted[0]));
+    EXPECT_EQ(in_process[0].recovery.hits, c.hits);
+    EXPECT_EQ(in_process[0].recovery.misses, 1u);
+    EXPECT_TRUE(has_finding(in_process[0], "checkpoint-resume"));
+  }
 }
 
 }  // namespace

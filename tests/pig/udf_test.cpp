@@ -136,6 +136,20 @@ TEST(CalculatePairwiseSimilarityUdf, EmitsUpperTriangularRows) {
   EXPECT_EQ(rows[0].get<std::string>(2), "r0");
 }
 
+TEST(CalculatePairwiseSimilarityUdf, RaggedGroupIsRejected) {
+  // Sketches of different lengths cannot form one sketch table: the exact
+  // path must refuse them under either estimator instead of scoring them.
+  Bag group = make_minwise_group({"ACGTACGTACGT", "TTGGCCAATTGG"});
+  group[1].fields[0] = std::vector<long>{1, 2, 3};
+  Tuple input;
+  input.fields.emplace_back(group);
+  for (const auto estimator : {core::SketchEstimator::kComponentMatch,
+                               core::SketchEstimator::kSetBased}) {
+    const CalculatePairwiseSimilarity udf(estimator);
+    EXPECT_THROW((void)udf.exec(input), common::InvalidArgument);
+  }
+}
+
 TEST(CalculatePairwiseSimilarityUdf, LshBackendKeepsRowShapeAndExactCells) {
   const std::vector<std::string> seqs{"ACGTACGTACGT", "ACGTACGTACGT",
                                       "TTGGCCAATTGG", "GGGGCCCCAAAA"};
