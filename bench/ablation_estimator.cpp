@@ -24,8 +24,10 @@ int main(int argc, char** argv) {
       {.reads = reads, .error_rate = 0.03, .seed = seed});
 
   std::vector<std::vector<std::uint64_t>> feature_sets;
+  std::vector<std::string_view> seqs;
   for (const auto& read : sample.reads) {
     feature_sets.push_back(bio::kmer_set(read.seq, {.k = 15}));
+    seqs.emplace_back(read.seq);
   }
 
   struct Config {
@@ -48,8 +50,8 @@ int main(int argc, char** argv) {
   for (const auto& config : configs) {
     const core::MinHasher hasher({.kmer = 15, .num_hashes = 50, .seed = seed,
                                   .modulus = config.modulus});
-    std::vector<core::Sketch> sketches;
-    for (const auto& read : sample.reads) sketches.push_back(hasher.sketch(read.seq));
+    const core::kernels::SketchMatrix sketches = hasher.sketch_matrix(seqs);
+    const core::candidates::PairScorer score(sketches, config.estimator);
 
     common::Xoshiro256 rng(seed ^ config.modulus);
     double squared = 0;
@@ -57,13 +59,12 @@ int main(int argc, char** argv) {
       const std::size_t i = rng.bounded(sample.size());
       const std::size_t j = rng.bounded(sample.size());
       const double exact = bio::exact_jaccard(feature_sets[i], feature_sets[j]);
-      const double estimate =
-          core::sketch_similarity(sketches[i], sketches[j], config.estimator);
+      const double estimate = score(i, j);
       squared += (estimate - exact) * (estimate - exact);
     }
 
     const auto greedy = core::greedy_cluster(
-        core::kernels::SketchMatrix::from_sketches(sketches), {.theta = config.theta, .estimator = config.estimator});
+        sketches, {.theta = config.theta, .estimator = config.estimator});
     table.add_row({config.name,
                    common::fmt_f(std::sqrt(squared / static_cast<double>(pairs)), 4),
                    std::to_string(greedy.num_clusters),

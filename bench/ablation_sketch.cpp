@@ -28,9 +28,12 @@ int main(int argc, char** argv) {
 
   // Exact k-mer sets for the RMSE reference.
   std::vector<std::vector<std::uint64_t>> feature_sets;
+  std::vector<std::string_view> seqs;
   feature_sets.reserve(sample.size());
+  seqs.reserve(sample.size());
   for (const auto& read : sample.reads) {
     feature_sets.push_back(bio::kmer_set(read.seq, {.k = 5, .canonical = true}));
+    seqs.emplace_back(read.seq);
   }
 
   common::TextTable table({"n hashes", "RMSE comp", "RMSE set", "W.Acc",
@@ -41,27 +44,30 @@ int main(int argc, char** argv) {
         {.kmer = 5, .num_hashes = hashes, .canonical = true, .seed = seed});
 
     common::Stopwatch sketch_watch;
-    std::vector<core::Sketch> sketches;
-    sketches.reserve(sample.size());
-    for (const auto& read : sample.reads) sketches.push_back(hasher.sketch(read.seq));
+    const core::kernels::SketchMatrix sketches = hasher.sketch_matrix(seqs);
     const double us_per_read = sketch_watch.seconds() * 1e6 /
                                static_cast<double>(sample.size());
 
-    // RMSE over a fixed deterministic pair sample.
+    // RMSE over a fixed deterministic pair sample, scored as the pipeline
+    // scores pairs.
+    const core::candidates::PairScorer comp_score(
+        sketches, core::SketchEstimator::kComponentMatch);
+    const core::candidates::PairScorer set_score(
+        sketches, core::SketchEstimator::kSetBased);
     common::Xoshiro256 rng(seed ^ hashes);
     double sq_comp = 0, sq_set = 0;
     for (std::size_t p = 0; p < pairs; ++p) {
       const std::size_t i = rng.bounded(sample.size());
       const std::size_t j = rng.bounded(sample.size());
       const double exact = bio::exact_jaccard(feature_sets[i], feature_sets[j]);
-      const double comp = core::component_match_similarity(sketches[i], sketches[j]);
-      const double set = core::set_based_similarity(sketches[i], sketches[j]);
+      const double comp = comp_score(i, j);
+      const double set = set_score(i, j);
       sq_comp += (comp - exact) * (comp - exact);
       sq_set += (set - exact) * (set - exact);
     }
 
     const auto hier = core::hierarchical_cluster(
-        core::kernels::SketchMatrix::from_sketches(sketches), {.theta = 0.5, .linkage = core::Linkage::kAverage,
+        sketches, {.theta = 0.5, .linkage = core::Linkage::kAverage,
                    .estimator = core::SketchEstimator::kComponentMatch});
     const double wacc =
         eval::weighted_cluster_accuracy(hier.labels, sample.labels);

@@ -19,6 +19,7 @@
 #include "bio/kmer.hpp"
 #include "common/prng.hpp"
 #include "common/timer.hpp"
+#include "core/candidates.hpp"
 #include "core/greedy.hpp"
 #include "core/hierarchical.hpp"
 #include "core/kernels.hpp"
@@ -61,23 +62,29 @@ void BM_MinHashSketch(benchmark::State& state) {
 }
 BENCHMARK(BM_MinHashSketch)->Arg(25)->Arg(50)->Arg(100)->Arg(200);
 
-void BM_SketchCompareComponent(benchmark::State& state) {
+/// One pair score as the pipeline computes it: two sketched 500 bp reads in
+/// a SketchMatrix, scored by PairScorer (set-based sorts the minima once, at
+/// construction, like the greedy sweep and the verify job).
+void bench_pair_score(benchmark::State& state,
+                      core::SketchEstimator estimator) {
   const core::MinHasher hasher({.kmer = 15, .num_hashes = 100, .seed = 5});
-  const auto a = hasher.sketch(random_seq(500, 6));
-  const auto b = hasher.sketch(random_seq(500, 7));
+  const std::string a = random_seq(500, 6);
+  const std::string b = random_seq(500, 7);
+  const std::vector<std::string_view> seqs{a, b};
+  const auto sketches = hasher.sketch_matrix(seqs);
+  const core::candidates::PairScorer score(sketches, estimator);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::component_match_similarity(a, b));
+    benchmark::DoNotOptimize(score(0, 1));
   }
+}
+
+void BM_SketchCompareComponent(benchmark::State& state) {
+  bench_pair_score(state, core::SketchEstimator::kComponentMatch);
 }
 BENCHMARK(BM_SketchCompareComponent);
 
 void BM_SketchCompareSetBased(benchmark::State& state) {
-  const core::MinHasher hasher({.kmer = 15, .num_hashes = 100, .seed = 5});
-  const auto a = hasher.sketch(random_seq(500, 6));
-  const auto b = hasher.sketch(random_seq(500, 7));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::set_based_similarity(a, b));
-  }
+  bench_pair_score(state, core::SketchEstimator::kSetBased);
 }
 BENCHMARK(BM_SketchCompareSetBased);
 

@@ -12,9 +12,12 @@
 //                        hash-outer / feature-inner loops, 4-way unrolled
 //                        Mersenne-61 reduction (AVX2: 4 hash lanes per
 //                        feature broadcast).
+//  * cmin_sketch       — C-MinHash sketching: one Mersenne-61 product per
+//                        feature shared by every hash slot.
 //  * count_equal       — positions with equal 64-bit components (AVX2:
 //                        cmpeq + movemask popcount), the component-match
-//                        estimator's inner loop.
+//                        estimator's inner loop.  b-bit sketches are
+//                        compared as masked 64-bit rows (mask_components).
 //  * component_match_matrix — cache-blocked all-pairs similarity fill over a
 //                        flat SketchMatrix (no pointer chase per cell).
 //  * argmin            — first-minimum row scan for the nearest-neighbour
@@ -159,26 +162,6 @@ void cmin_sketch(std::uint64_t mul, std::span<const std::uint64_t> add,
                                       std::span<const std::uint64_t> b,
                                       Backend backend = active_backend()) noexcept;
 
-/// True for the packed widths the b-bit kernels support: divisors of 64, so
-/// a lane never straddles a word.
-[[nodiscard]] constexpr bool valid_pack_bits(std::size_t bits) noexcept {
-  return bits == 1 || bits == 2 || bits == 4 || bits == 8 || bits == 16 ||
-         bits == 32 || bits == 64;
-}
-
-/// Matching lanes between two b-bit packed rows (the packed counterpart of
-/// count_equal): `a` and `b` hold `cols` lanes of `bits` bits each, packed
-/// little-endian (lane 0 in the low bits of word 0).  Trailing pad lanes
-/// must be zero in both rows (PackedSketchMatrix guarantees this), so pads
-/// compare equal and the count needs no tail correction.  Scalar path is
-/// XOR + OR-fold + popcount SWAR; AVX2 kicks in for byte-aligned widths
-/// (8/16/32/64) via cmpeq + movemask.  Exact integer counts — bit-identical
-/// across backends.
-[[nodiscard]] std::size_t count_equal_packed(
-    std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-    std::size_t cols, std::size_t bits,
-    Backend backend = active_backend()) noexcept;
-
 /// First index of the minimum of `row` (ties -> lowest index), or
 /// row.size() when the row is empty.  +inf entries mark dead slots; the scan
 /// assumes no NaNs.
@@ -233,71 +216,13 @@ class SketchMatrix {
 /// truncated values.
 void mask_components(SketchMatrix& sketches, std::uint64_t mask) noexcept;
 
-/// b-bit packed sketch rows: rows() sketches of cols() lanes, each lane the
-/// low `bits()` bits of the corresponding SketchMatrix component, packed
-/// little-endian into words_per_row() u64 words per row.  `bits` divides 64
-/// (valid_pack_bits), so lanes never straddle words and row comparison is
-/// count_equal_packed over the two word spans.  Pad lanes are always zero.
-class PackedSketchMatrix {
- public:
-  PackedSketchMatrix() = default;
-  PackedSketchMatrix(std::size_t rows, std::size_t cols, std::size_t bits);
-
-  /// Pack the low `bits` of every component of `matrix`.
-  static PackedSketchMatrix pack(const SketchMatrix& matrix, std::size_t bits);
-
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
-  [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
-  [[nodiscard]] std::size_t bits() const noexcept { return bits_; }
-  [[nodiscard]] bool empty() const noexcept { return rows_ == 0; }
-  [[nodiscard]] std::size_t words_per_row() const noexcept { return wpr_; }
-
-  [[nodiscard]] std::span<const std::uint64_t> row(std::size_t i) const noexcept {
-    return {data_.data() + i * wpr_, wpr_};
-  }
-
-  void set(std::size_t i, std::size_t j, std::uint64_t value) noexcept {
-    const std::size_t lanes = 64 / bits_;
-    const std::size_t word = i * wpr_ + j / lanes;
-    const std::size_t shift = (j % lanes) * bits_;
-    const std::uint64_t mask = lane_mask();
-    data_[word] = (data_[word] & ~(mask << shift)) | ((value & mask) << shift);
-  }
-  [[nodiscard]] std::uint64_t get(std::size_t i, std::size_t j) const noexcept {
-    const std::size_t lanes = 64 / bits_;
-    return (data_[i * wpr_ + j / lanes] >> ((j % lanes) * bits_)) & lane_mask();
-  }
-
-  /// matches(count_equal_packed) between rows i and j.
-  [[nodiscard]] std::size_t count_equal_rows(
-      std::size_t i, std::size_t j,
-      Backend backend = active_backend()) const noexcept {
-    return count_equal_packed(row(i), row(j), cols_, bits_, backend);
-  }
-
-  friend bool operator==(const PackedSketchMatrix&,
-                         const PackedSketchMatrix&) = default;
-
- private:
-  [[nodiscard]] std::uint64_t lane_mask() const noexcept {
-    return bits_ >= 64 ? ~std::uint64_t{0}
-                       : (std::uint64_t{1} << bits_) - 1;
-  }
-
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::size_t bits_ = 0;
-  std::size_t wpr_ = 0;
-  std::vector<std::uint64_t> data_;
-};
-
 /// Cache-blocked all-pairs component-match fill: writes the full symmetric
 /// n×n matrix (diagonal 1.0f) into `out` with `stride` floats per row.
 /// out[i*stride+j] = float(count_equal(row i, row j) / cols); 0.0f off the
-/// diagonal when cols == 0 (matching component_match_similarity on empty
-/// sketches).  Rows are processed in blocks so each block stays L1-resident
-/// while the partner rows stream.  When `pool` is non-null, blocks run in
-/// parallel; the result is identical at any thread count.
+/// diagonal when cols == 0 (empty sketches share no component).  Rows are
+/// processed in blocks so each block stays L1-resident while the partner
+/// rows stream.  When `pool` is non-null, blocks run in parallel; the result
+/// is identical at any thread count.
 void component_match_matrix(const SketchMatrix& sketches, float* out,
                             std::size_t stride,
                             Backend backend = active_backend(),

@@ -184,37 +184,4 @@ std::pair<std::uint64_t, std::uint64_t> SortedSketchStore::jaccard_counts(
   return {inter, uni};
 }
 
-// ------------------------------------------------------------------ estimators
-
-double component_match_similarity(const Sketch& a, const Sketch& b) noexcept {
-  if (a.empty() || a.size() != b.size()) return 0.0;
-  const std::size_t matches = kernels::count_equal(a, b);
-  return static_cast<double>(matches) / static_cast<double>(a.size());
-}
-
-double set_based_similarity(const Sketch& a, const Sketch& b) {
-  if (a.empty() || b.empty()) return 0.0;
-  // Reused thread-local scratch: no allocation or copy churn per pair.
-  thread_local std::vector<std::uint64_t> sa, sb;
-  sa.assign(a.begin(), a.end());
-  std::sort(sa.begin(), sa.end());
-  sa.erase(std::unique(sa.begin(), sa.end()), sa.end());
-  sb.assign(b.begin(), b.end());
-  std::sort(sb.begin(), sb.end());
-  sb.erase(std::unique(sb.begin(), sb.end()), sb.end());
-  return bio::exact_jaccard(sa, sb);
-}
-
-double sketch_similarity(const Sketch& a, const Sketch& b,
-                         SketchEstimator estimator) {
-  MRMC_REQUIRE(a.size() == b.size(), "sketches must have equal length");
-  switch (estimator) {
-    case SketchEstimator::kComponentMatch:
-      return component_match_similarity(a, b);
-    case SketchEstimator::kSetBased:
-      return set_based_similarity(a, b);
-  }
-  return 0.0;
-}
-
 }  // namespace mrmc::core

@@ -220,18 +220,6 @@ class SortedSketchStore {
   std::vector<std::size_t> offsets_;
 };
 
-/// Estimated Jaccard similarity of two sketches (must be equal length).
-[[nodiscard]] double sketch_similarity(const Sketch& a, const Sketch& b,
-                                       SketchEstimator estimator);
-
-/// Component-match estimator (cheapest; used by the similarity matrix).
-[[nodiscard]] double component_match_similarity(const Sketch& a,
-                                                const Sketch& b) noexcept;
-
-/// Set-based estimator of Algorithm 1 line 9.  Sort work runs in reused
-/// thread-local scratch; for repeated comparisons prefer SortedSketchStore.
-[[nodiscard]] double set_based_similarity(const Sketch& a, const Sketch& b);
-
 // ---------------------------------------------------------- b-bit sketches
 //
 // Keeping only the low b bits of each minwise value shrinks the sketch
@@ -244,9 +232,11 @@ class SortedSketchStore {
 // with average linkage too) and exposes the corrected estimator for
 // benchmarks and tests.
 
-/// Valid --sketch-bits values: the packed widths of the b-bit kernels.
+/// Valid --sketch-bits values: the divisors of 64, the widths the sketch
+/// job's mr::BinaryBlock can pack without a lane straddling a word.
 [[nodiscard]] constexpr bool valid_sketch_bits(std::size_t bits) noexcept {
-  return kernels::valid_pack_bits(bits);
+  return bits == 1 || bits == 2 || bits == 4 || bits == 8 || bits == 16 ||
+         bits == 32 || bits == 64;
 }
 
 /// Truncation mask for b-bit sketches (all-ones at b = 64).

@@ -58,96 +58,6 @@ double SimScheduler::fetch_time(double bytes) const {
          bytes * (1.0 - remote_fraction) / config_.node.disk_bw;
 }
 
-PhaseTimeline SimScheduler::schedule_phase(std::span<const TaskSpec> tasks,
-                                           std::size_t slots_per_node) const {
-  PhaseTimeline timeline;
-  timeline.tasks.resize(tasks.size());
-  if (tasks.empty()) return timeline;
-
-  // Longest-processing-time-first order for a tighter makespan.
-  std::vector<std::size_t> order(tasks.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return task_duration(tasks[a], true) > task_duration(tasks[b], true);
-  });
-
-  // slot_free[node][slot] = time the slot becomes available.
-  std::vector<std::vector<double>> slot_free(
-      config_.nodes, std::vector<double>(slots_per_node, 0.0));
-
-  auto earliest_slot = [&](int node) {
-    std::size_t best = 0;
-    for (std::size_t s = 1; s < slot_free[node].size(); ++s) {
-      if (slot_free[node][s] < slot_free[node][best]) best = s;
-    }
-    return best;
-  };
-
-  for (const std::size_t idx : order) {
-    const TaskSpec& task = tasks[idx];
-    // Find the globally earliest slot.
-    int best_node = 0;
-    std::size_t best_slot = earliest_slot(0);
-    for (int n = 1; n < static_cast<int>(config_.nodes); ++n) {
-      const std::size_t s = earliest_slot(n);
-      if (slot_free[n][s] < slot_free[best_node][best_slot]) {
-        best_node = n;
-        best_slot = s;
-      }
-    }
-    // Prefer the replica holder if it is nearly as available (delay-scheduling
-    // heuristic: tolerate up to one task startup of extra wait for locality).
-    if (task.preferred_node >= 0 &&
-        task.preferred_node < static_cast<int>(config_.nodes)) {
-      const std::size_t s = earliest_slot(task.preferred_node);
-      if (slot_free[task.preferred_node][s] <=
-          slot_free[best_node][best_slot] + config_.task_startup_s) {
-        best_node = task.preferred_node;
-        best_slot = s;
-      }
-    }
-
-    const bool local =
-        task.preferred_node < 0 || task.preferred_node == best_node;
-    const double start = slot_free[best_node][best_slot];
-    const double end = start + task_duration(task, local);
-    slot_free[best_node][best_slot] = end;
-
-    timeline.tasks[idx] = {best_node, static_cast<int>(best_slot), start, end,
-                           local};
-    if (local) ++timeline.data_local_tasks;
-  }
-
-  if (config_.speculative_execution && timeline.tasks.size() >= 3) {
-    // Median duration of the phase defines the straggler threshold.
-    std::vector<double> durations;
-    durations.reserve(timeline.tasks.size());
-    for (const auto& task : timeline.tasks) {
-      durations.push_back(task.end_s - task.start_s);
-    }
-    std::nth_element(durations.begin(),
-                     durations.begin() + static_cast<long>(durations.size() / 2),
-                     durations.end());
-    const double median = durations[durations.size() / 2];
-    for (auto& task : timeline.tasks) {
-      const double duration = task.end_s - task.start_s;
-      if (duration > config_.speculation_factor * median) {
-        const double rescued_end =
-            task.start_s + (config_.speculation_factor + 1.0) * median;
-        if (rescued_end < task.end_s) {
-          task.end_s = rescued_end;
-          ++timeline.speculated_tasks;
-        }
-      }
-    }
-  }
-
-  for (const auto& task : timeline.tasks) {
-    timeline.makespan_s = std::max(timeline.makespan_s, task.end_s);
-  }
-  return timeline;
-}
-
 namespace {
 
 /// Export one scheduled phase onto the job's sim track group: task i becomes
@@ -189,8 +99,8 @@ void trace_sim_phase(obs::Tracer& tracer, std::uint32_t pid,
 }
 
 /// Byte totals from the specs in phase-index / fetch-list order — one fixed
-/// left-to-right summation shared by both simulate_job paths, so the doubles
-/// the doctor renders are identical however the job was scheduled.
+/// left-to-right summation, so the doubles the doctor renders do not depend
+/// on how the job was scheduled.
 obs::report::ByteSummary summarize_bytes(std::span<const TaskSpec> map_tasks,
                                          std::span<const FetchSpec> fetches,
                                          std::span<const TaskSpec> reduce_tasks) {
@@ -214,13 +124,12 @@ obs::report::ByteSummary summarize_bytes(std::span<const TaskSpec> map_tasks,
   return bytes;
 }
 
-/// The shuffle schedule shared by both simulate_job paths: each fetch starts
-/// when its map run is available and the reducer's NIC is free (fetches into
-/// one reducer are serialized).  Fetch order per reducer: by producer finish
-/// time, map index breaking ties — deterministic regardless of thread count.
-/// Times are on the same clock as `map_phase` (phase-relative in the
-/// fault-free path, absolute in the faulted one, which is why the caller
-/// passes the reducer-NIC floor explicitly).
+/// The per-fetch shuffle schedule: each fetch starts when its map run is
+/// available and the reducer's NIC is free (fetches into one reducer are
+/// serialized).  Fetch order per reducer: by producer finish time, map index
+/// breaking ties — deterministic regardless of thread count.  Times are on
+/// `map_phase`'s phase-relative clock; map-output invalidation shifts them
+/// onto the fault plan's job clock itself.
 std::vector<FetchPlacement> schedule_fetches(const SimScheduler& scheduler,
                                              std::span<const FetchSpec> fetches,
                                              const PhaseTimeline& map_phase) {
@@ -261,9 +170,8 @@ std::vector<FetchPlacement> schedule_fetches(const SimScheduler& scheduler,
   return placed;
 }
 
-/// Metrics + trace + log for a finished timeline — shared by the fault-free
-/// and faulted simulate_job paths so both emit identically.  The trace
-/// events are the doctors' only intake (obs::report::jobs_from_trace).
+/// Metrics + trace + log for a finished timeline.  The trace events are the
+/// doctors' only intake (obs::report::jobs_from_trace).
 void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
               std::span<const TaskSpec> map_specs,
               std::span<const TaskSpec> reduce_specs,
@@ -513,32 +421,42 @@ void emit_job(const SimScheduler& scheduler, const JobTimeline& timeline,
   }
 }
 
-/// Faulted list scheduling for one phase: pending task indices (LPT-first)
-/// are placed onto the earliest slot whose node is up, with the same
-/// first-minimal tie-breaks and delay-scheduling locality override as
-/// SimScheduler::schedule_phase.  Times are phase-relative; `offset` maps
-/// them onto the absolute job clock of the fault plan (tracker queries and
-/// the LostAttempt records).  Under a tracker whose crashes never intersect
-/// the phase, every arithmetic operation equals schedule_phase's, so the
-/// placements are BIT-identical to the fault-free schedule.  An attempt
+/// Scheduling state of one phase: slot_free[node][slot] is when the slot
+/// frees up and ready[task] the earliest instant the task may start (both
+/// phase-relative).  It persists across run_phase calls so map-output
+/// invalidation can re-run a subset with history intact.
+struct PhaseState {
+  PhaseState(std::size_t nodes, std::size_t slots_per_node, std::size_t tasks)
+      : slot_free(nodes, std::vector<double>(slots_per_node, 0.0)),
+        ready(tasks, 0.0) {}
+
+  std::vector<std::vector<double>> slot_free;
+  std::vector<double> ready;
+};
+
+/// The list scheduler: pending task indices (LPT-first) are placed onto the
+/// globally earliest slot whose node is up (first minimum wins ties), and a
+/// task moves to its replica holder when that node's earliest slot is not
+/// more than one task startup behind (delay scheduling).  Times are
+/// phase-relative; `offset` maps them onto the absolute job clock of the
+/// fault plan (tracker queries and the LostAttempt records).  An attempt
 /// that would outlive its node's up-window is killed at the crash instant
-/// and re-queued at the heartbeat detection time.  `slot_free` and `ready`
-/// persist across calls so map-output invalidation can re-run a subset with
-/// history intact.
-void run_faulted_phase(const SimScheduler& scheduler,
-                       std::span<const TaskSpec> tasks,
-                       const faults::NodeTracker& tracker,
-                       const char* phase_name, double offset,
-                       std::deque<std::size_t> pending,
-                       std::vector<std::vector<double>>& slot_free,
-                       std::vector<double>& ready, PhaseTimeline& phase,
-                       faults::FaultOutcome& outcome) {
+/// and re-queued at the heartbeat detection time.  Under an always-up
+/// tracker no attempt is killed and every start is exactly its slot's free
+/// time.
+void run_phase(const SimScheduler& scheduler, std::span<const TaskSpec> tasks,
+               const faults::NodeTracker& tracker, const char* phase_name,
+               double offset, std::deque<std::size_t> pending,
+               PhaseState& state, PhaseTimeline& phase,
+               faults::FaultOutcome& outcome) {
   const ClusterConfig& config = scheduler.config();
+  MRMC_REQUIRE(pending.empty() || !state.slot_free.front().empty(),
+               "a phase with tasks needs at least one slot per node");
   // Earliest (slot, start) on `node` for work ready at `task_ready`, plus
   // the crash instant bounding the chosen up-window (both phase-relative).
   const auto candidate = [&](int node, double task_ready) {
     std::size_t best_slot = 0;
-    const auto& slots = slot_free[static_cast<std::size_t>(node)];
+    const auto& slots = state.slot_free[static_cast<std::size_t>(node)];
     for (std::size_t s = 1; s < slots.size(); ++s) {
       if (slots[s] < slots[best_slot]) best_slot = s;
     }
@@ -552,8 +470,7 @@ void run_faulted_phase(const SimScheduler& scheduler,
     }
     // next_window clamps the window start up to the query time; a window
     // already open at raw_abs must keep `raw` bit-for-bit (subtracting the
-    // offset back would round), which is what makes the no-effective-crash
-    // schedule identical to schedule_phase's.
+    // offset back would round).
     const double start =
         window.start <= raw_abs ? raw : window.start - offset;
     const double crash = window.crash == faults::kNever
@@ -570,7 +487,7 @@ void run_faulted_phase(const SimScheduler& scheduler,
     double best_start = faults::kNever;
     double best_crash = faults::kNever;
     for (int n = 0; n < static_cast<int>(config.nodes); ++n) {
-      const auto [slot, start, crash] = candidate(n, ready[idx]);
+      const auto [slot, start, crash] = candidate(n, state.ready[idx]);
       if (start < best_start) {
         best_node = n;
         best_slot = slot;
@@ -583,7 +500,7 @@ void run_faulted_phase(const SimScheduler& scheduler,
         task.preferred_node < static_cast<int>(config.nodes) &&
         task.preferred_node != best_node) {
       const auto [slot, start, crash] =
-          candidate(task.preferred_node, ready[idx]);
+          candidate(task.preferred_node, state.ready[idx]);
       if (start <= best_start + config.task_startup_s) {
         best_node = task.preferred_node;
         best_slot = slot;
@@ -594,6 +511,7 @@ void run_faulted_phase(const SimScheduler& scheduler,
     const bool local =
         task.preferred_node < 0 || task.preferred_node == best_node;
     const double end = best_start + scheduler.task_duration(task, local);
+    auto& slot_free = state.slot_free[static_cast<std::size_t>(best_node)];
     if (end > best_crash) {
       // The node dies under the attempt: the slot is gone at the crash and
       // the task cannot restart before the heartbeat timeout notices.
@@ -602,18 +520,18 @@ void run_faulted_phase(const SimScheduler& scheduler,
                                        static_cast<int>(best_slot),
                                        best_start + offset, detect});
       ++outcome.killed_attempts;
-      slot_free[static_cast<std::size_t>(best_node)][best_slot] = best_crash;
-      ready[idx] = detect - offset;
+      slot_free[best_slot] = best_crash;
+      state.ready[idx] = detect - offset;
       pending.push_back(idx);
       continue;
     }
-    slot_free[static_cast<std::size_t>(best_node)][best_slot] = end;
+    slot_free[best_slot] = end;
     phase.tasks[idx] = {best_node, static_cast<int>(best_slot), best_start, end,
                         local};
   }
 }
 
-/// Longest-duration-first work order, same comparator as schedule_phase.
+/// Longest-duration-first work order (stable, so index breaks ties).
 std::deque<std::size_t> lpt_order(const SimScheduler& scheduler,
                                   std::span<const TaskSpec> tasks) {
   std::vector<std::size_t> order(tasks.size());
@@ -626,42 +544,154 @@ std::deque<std::size_t> lpt_order(const SimScheduler& scheduler,
   return {order.begin(), order.end()};
 }
 
+/// A whole phase from a cold start: every task placed, longest first.
+PhaseTimeline place_phase(const SimScheduler& scheduler,
+                          std::span<const TaskSpec> tasks,
+                          const faults::NodeTracker& tracker,
+                          const char* phase_name, double offset,
+                          PhaseState& state, faults::FaultOutcome& outcome) {
+  PhaseTimeline phase;
+  phase.tasks.resize(tasks.size());
+  run_phase(scheduler, tasks, tracker, phase_name, offset,
+            lpt_order(scheduler, tasks), state, phase, outcome);
+  return phase;
+}
+
+/// Fold a placed phase's derived stats.  With `speculate` (fault-free
+/// phases only: a backup copy's slot occupancy would interact with kills,
+/// DESIGN.md §9) and speculative execution on, a task longer than
+/// speculation_factor x the phase median ends at start + (factor + 1) x
+/// median instead, when that is earlier.
+void finish_phase(const ClusterConfig& config, bool speculate,
+                  PhaseTimeline& phase) {
+  if (speculate && config.speculative_execution && phase.tasks.size() >= 3) {
+    std::vector<double> durations;
+    durations.reserve(phase.tasks.size());
+    for (const TaskPlacement& task : phase.tasks) {
+      durations.push_back(task.end_s - task.start_s);
+    }
+    std::nth_element(durations.begin(),
+                     durations.begin() + static_cast<long>(durations.size() / 2),
+                     durations.end());
+    const double median = durations[durations.size() / 2];
+    for (TaskPlacement& task : phase.tasks) {
+      const double duration = task.end_s - task.start_s;
+      if (duration > config.speculation_factor * median) {
+        const double rescued_end =
+            task.start_s + (config.speculation_factor + 1.0) * median;
+        if (rescued_end < task.end_s) {
+          task.end_s = rescued_end;
+          ++phase.speculated_tasks;
+        }
+      }
+    }
+  }
+  for (const TaskPlacement& task : phase.tasks) {
+    phase.makespan_s = std::max(phase.makespan_s, task.end_s);
+    if (task.data_local) ++phase.data_local_tasks;
+  }
+}
+
+/// Map-output invalidation (Hadoop's fetch-failure path): a *completed*
+/// map whose node dies before every reducer has pulled its output must
+/// re-execute.  Loop until a fixed point: each re-execution shifts the
+/// serialized fetch schedule, which can extend other maps' vulnerability
+/// windows and expose further crashes as invalidating.  The loop
+/// terminates because a given map's invalidating crashes are strictly
+/// time-increasing and the plan is finite.
+void rerun_lost_maps(const SimScheduler& scheduler,
+                     std::span<const TaskSpec> map_tasks, double shuffle_bytes,
+                     std::span<const FetchSpec> fetches,
+                     const faults::NodeTracker& tracker, PhaseState& state,
+                     JobTimeline& timeline) {
+  const ClusterConfig& config = scheduler.config();
+  for (;;) {
+    // Safe instants on the ABSOLUTE job clock (crash times live there);
+    // placements are map-phase-relative, hence the + job_startup_s.
+    std::vector<double> safe(map_tasks.size());
+    if (!fetches.empty()) {
+      for (std::size_t m = 0; m < map_tasks.size(); ++m) {
+        safe[m] = timeline.map_phase.tasks[m].end_s + config.job_startup_s;
+      }
+      for (const FetchPlacement& fetch :
+           schedule_fetches(scheduler, fetches, timeline.map_phase)) {
+        safe[fetch.map_task] = std::max(
+            safe[fetch.map_task], fetch.end_s + config.job_startup_s);
+      }
+    } else {
+      // Aggregate model: every output is consumed by the barrier shuffle
+      // that ends shuffle_time after the last map.  No shuffle bytes, no
+      // re-reads: outputs are safe the moment the map finishes.
+      double map_done = 0.0;
+      for (const TaskPlacement& placed : timeline.map_phase.tasks) {
+        map_done = std::max(map_done, placed.end_s);
+      }
+      const double barrier =
+          shuffle_bytes > 0
+              ? config.job_startup_s + map_done +
+                    scheduler.shuffle_time(shuffle_bytes)
+              : 0.0;
+      for (std::size_t m = 0; m < map_tasks.size(); ++m) {
+        safe[m] = std::max(
+            timeline.map_phase.tasks[m].end_s + config.job_startup_s,
+            barrier);
+      }
+    }
+    double first_crash = faults::kNever;
+    int crash_node = -1;
+    for (std::size_t m = 0; m < map_tasks.size(); ++m) {
+      const TaskPlacement& placed = timeline.map_phase.tasks[m];
+      const double crash = tracker.crash_in(
+          placed.node, placed.end_s + config.job_startup_s, safe[m]);
+      if (crash < first_crash ||
+          (crash == first_crash && crash != faults::kNever &&
+           placed.node < crash_node)) {
+        first_crash = crash;
+        crash_node = placed.node;
+      }
+    }
+    if (first_crash == faults::kNever) return;
+    const double detect = tracker.detection_s(first_crash);
+    std::vector<std::size_t> invalidated;
+    for (std::size_t m = 0; m < map_tasks.size(); ++m) {
+      const TaskPlacement& placed = timeline.map_phase.tasks[m];
+      if (placed.node != crash_node ||
+          placed.end_s + config.job_startup_s > first_crash ||
+          first_crash >= safe[m]) {
+        continue;
+      }
+      timeline.faults.lost_attempts.push_back(
+          {"map", "lost-output", m, placed.node, placed.slot,
+           placed.start_s + config.job_startup_s, detect});
+      ++timeline.faults.lost_map_outputs;
+      state.ready[m] = detect - config.job_startup_s;
+      invalidated.push_back(m);
+    }
+    MRMC_CHECK(!invalidated.empty(),
+               "map-output invalidation matched no attempt");
+    std::stable_sort(invalidated.begin(), invalidated.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return scheduler.task_duration(map_tasks[a], true) >
+                              scheduler.task_duration(map_tasks[b], true);
+                     });
+    run_phase(scheduler, map_tasks, tracker, "map", config.job_startup_s,
+              std::deque<std::size_t>(invalidated.begin(), invalidated.end()),
+              state, timeline.map_phase, timeline.faults);
+  }
+}
+
 }  // namespace
 
-JobTimeline simulate_job(const SimScheduler& scheduler,
-                         std::span<const TaskSpec> map_tasks,
-                         double shuffle_bytes,
-                         std::span<const FetchSpec> fetches,
-                         std::span<const TaskSpec> reduce_tasks,
-                         const std::string& job_name) {
-  JobTimeline timeline;
-  timeline.map_phase =
-      scheduler.schedule_phase(map_tasks, scheduler.config().map_slots_per_node);
-  if (fetches.empty()) {
-    // Aggregate barrier model: one all-to-all transfer after the map phase.
-    timeline.shuffle_s = scheduler.shuffle_time(shuffle_bytes);
-  } else {
-    // Overlapped model: each fetch starts when its map run is available and
-    // the reducer's NIC is free; only the tail beyond the last map task
-    // extends the job.
-    timeline.fetches =
-        schedule_fetches(scheduler, fetches, timeline.map_phase);
-    double shuffle_done = 0.0;
-    for (const FetchPlacement& fetch : timeline.fetches) {
-      shuffle_done = std::max(shuffle_done, fetch.end_s);
-    }
-    timeline.shuffle_s =
-        std::max(0.0, shuffle_done - timeline.map_phase.makespan_s);
-  }
-  timeline.reduce_phase = scheduler.schedule_phase(
-      reduce_tasks, scheduler.config().reduce_slots_per_node);
-  timeline.total_s = scheduler.config().job_startup_s +
-                     timeline.map_phase.makespan_s + timeline.shuffle_s +
-                     timeline.reduce_phase.makespan_s;
-  timeline.bytes = summarize_bytes(map_tasks, fetches, reduce_tasks);
-  emit_job(scheduler, timeline, map_tasks, reduce_tasks, shuffle_bytes,
-           job_name);
-  return timeline;
+PhaseTimeline SimScheduler::schedule_phase(std::span<const TaskSpec> tasks,
+                                           std::size_t slots_per_node) const {
+  const faults::FaultPlan always_up;
+  const faults::NodeTracker tracker(always_up, config_.nodes);
+  PhaseState state(config_.nodes, slots_per_node, tasks.size());
+  faults::FaultOutcome outcome;
+  PhaseTimeline phase =
+      place_phase(*this, tasks, tracker, "phase", 0.0, state, outcome);
+  finish_phase(config_, true, phase);
+  return phase;
 }
 
 JobTimeline simulate_job(const SimScheduler& scheduler,
@@ -671,154 +701,55 @@ JobTimeline simulate_job(const SimScheduler& scheduler,
                          std::span<const TaskSpec> reduce_tasks,
                          const std::string& job_name,
                          const faults::FaultPlan& plan) {
-  if (plan.empty()) {
-    return simulate_job(scheduler, map_tasks, shuffle_bytes, fetches,
-                        reduce_tasks, job_name);
-  }
   const ClusterConfig& config = scheduler.config();
   plan.validate(config.nodes);
-  faults::NodeTracker tracker(plan, config.nodes);
+  const faults::NodeTracker tracker(plan, config.nodes);
 
   JobTimeline timeline;
   timeline.faults.events = tracker.down_events();
   timeline.faults.blacklisted_nodes = tracker.blacklisted_nodes();
 
   // Map phase on its own phase-relative clock (the fault plan's absolute
-  // job clock is job_startup_s later), so that a plan whose crashes never
-  // intersect the schedule reproduces the fault-free timeline bit-for-bit.
-  timeline.map_phase.tasks.resize(map_tasks.size());
-  std::vector<std::vector<double>> map_slot_free(
-      config.nodes, std::vector<double>(config.map_slots_per_node, 0.0));
-  std::vector<double> map_ready(map_tasks.size(), 0.0);
-  run_faulted_phase(scheduler, map_tasks, tracker, "map",
-                    config.job_startup_s, lpt_order(scheduler, map_tasks),
-                    map_slot_free, map_ready, timeline.map_phase,
-                    timeline.faults);
-
-  // Map-output invalidation (Hadoop's fetch-failure path): a *completed*
-  // map whose node dies before every reducer has pulled its output must
-  // re-execute.  Loop until a fixed point: each re-execution shifts the
-  // serialized fetch schedule, which can extend other maps' vulnerability
-  // windows and expose further crashes as invalidating.  The loop
-  // terminates because a given map's invalidating crashes are strictly
-  // time-increasing and the plan is finite.
-  if (!map_tasks.empty()) {
-    for (;;) {
-      // Safe instants on the ABSOLUTE job clock (crash times live there);
-      // placements are map-phase-relative, hence the + job_startup_s.
-      std::vector<double> safe(map_tasks.size());
-      if (!fetches.empty()) {
-        for (std::size_t m = 0; m < map_tasks.size(); ++m) {
-          safe[m] = timeline.map_phase.tasks[m].end_s + config.job_startup_s;
-        }
-        for (const FetchPlacement& fetch :
-             schedule_fetches(scheduler, fetches, timeline.map_phase)) {
-          safe[fetch.map_task] = std::max(
-              safe[fetch.map_task], fetch.end_s + config.job_startup_s);
-        }
-      } else {
-        // Aggregate model: every output is consumed by the barrier shuffle
-        // that ends shuffle_time after the last map.  No shuffle bytes, no
-        // re-reads: outputs are safe the moment the map finishes.
-        double map_done = 0.0;
-        for (const TaskPlacement& placed : timeline.map_phase.tasks) {
-          map_done = std::max(map_done, placed.end_s);
-        }
-        const double barrier =
-            shuffle_bytes > 0
-                ? config.job_startup_s + map_done +
-                      scheduler.shuffle_time(shuffle_bytes)
-                : 0.0;
-        for (std::size_t m = 0; m < map_tasks.size(); ++m) {
-          safe[m] = std::max(
-              timeline.map_phase.tasks[m].end_s + config.job_startup_s,
-              barrier);
-        }
-      }
-      double first_crash = faults::kNever;
-      int crash_node = -1;
-      for (std::size_t m = 0; m < map_tasks.size(); ++m) {
-        const TaskPlacement& placed = timeline.map_phase.tasks[m];
-        const double crash = tracker.crash_in(
-            placed.node, placed.end_s + config.job_startup_s, safe[m]);
-        if (crash < first_crash ||
-            (crash == first_crash && crash != faults::kNever &&
-             placed.node < crash_node)) {
-          first_crash = crash;
-          crash_node = placed.node;
-        }
-      }
-      if (first_crash == faults::kNever) break;
-      const double detect = tracker.detection_s(first_crash);
-      std::vector<std::size_t> invalidated;
-      for (std::size_t m = 0; m < map_tasks.size(); ++m) {
-        const TaskPlacement& placed = timeline.map_phase.tasks[m];
-        if (placed.node != crash_node ||
-            placed.end_s + config.job_startup_s > first_crash ||
-            first_crash >= safe[m]) {
-          continue;
-        }
-        timeline.faults.lost_attempts.push_back(
-            {"map", "lost-output", m, placed.node, placed.slot,
-             placed.start_s + config.job_startup_s, detect});
-        ++timeline.faults.lost_map_outputs;
-        map_ready[m] = detect - config.job_startup_s;
-        invalidated.push_back(m);
-      }
-      MRMC_CHECK(!invalidated.empty(),
-                 "map-output invalidation matched no attempt");
-      std::stable_sort(invalidated.begin(), invalidated.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return scheduler.task_duration(map_tasks[a], true) >
-                                scheduler.task_duration(map_tasks[b], true);
-                       });
-      run_faulted_phase(
-          scheduler, map_tasks, tracker, "map", config.job_startup_s,
-          std::deque<std::size_t>(invalidated.begin(), invalidated.end()),
-          map_slot_free, map_ready, timeline.map_phase, timeline.faults);
-    }
+  // job clock is job_startup_s later).  Only crashes lose map outputs.
+  PhaseState map_state(config.nodes, config.map_slots_per_node,
+                       map_tasks.size());
+  timeline.map_phase = place_phase(scheduler, map_tasks, tracker, "map",
+                                   config.job_startup_s, map_state,
+                                   timeline.faults);
+  if (!plan.empty()) {
+    rerun_lost_maps(scheduler, map_tasks, shuffle_bytes, fetches, tracker,
+                    map_state, timeline);
   }
+  finish_phase(config, plan.empty(), timeline.map_phase);
 
-  // Shuffle on the map-phase-relative clock, exactly like the fault-free
-  // path (no conversions: a no-effect plan keeps every number bit-equal).
-  double map_done = 0.0;
-  for (const TaskPlacement& placed : timeline.map_phase.tasks) {
-    map_done = std::max(map_done, placed.end_s);
-  }
   if (fetches.empty()) {
+    // Aggregate barrier model: one all-to-all transfer after the map phase.
     timeline.shuffle_s = scheduler.shuffle_time(shuffle_bytes);
   } else {
+    // Overlapped model: each fetch starts when its map run is available and
+    // the reducer's NIC is free; only the tail beyond the last map task
+    // extends the job.
     timeline.fetches = schedule_fetches(scheduler, fetches, timeline.map_phase);
     double shuffle_done = 0.0;
     for (const FetchPlacement& fetch : timeline.fetches) {
       shuffle_done = std::max(shuffle_done, fetch.end_s);
     }
-    timeline.shuffle_s = std::max(0.0, shuffle_done - map_done);
+    timeline.shuffle_s =
+        std::max(0.0, shuffle_done - timeline.map_phase.makespan_s);
   }
 
   // Reduce phase: launches after the shuffle barrier on its own relative
   // clock, kills only (nothing downstream invalidates reduce outputs).
-  const double reduce_offset =
-      config.job_startup_s + map_done + timeline.shuffle_s;
-  timeline.reduce_phase.tasks.resize(reduce_tasks.size());
-  std::vector<std::vector<double>> reduce_slot_free(
-      config.nodes, std::vector<double>(config.reduce_slots_per_node, 0.0));
-  std::vector<double> reduce_ready(reduce_tasks.size(), 0.0);
-  run_faulted_phase(scheduler, reduce_tasks, tracker, "reduce", reduce_offset,
-                    lpt_order(scheduler, reduce_tasks), reduce_slot_free,
-                    reduce_ready, timeline.reduce_phase, timeline.faults);
+  const double reduce_offset = config.job_startup_s +
+                               timeline.map_phase.makespan_s +
+                               timeline.shuffle_s;
+  PhaseState reduce_state(config.nodes, config.reduce_slots_per_node,
+                          reduce_tasks.size());
+  timeline.reduce_phase =
+      place_phase(scheduler, reduce_tasks, tracker, "reduce", reduce_offset,
+                  reduce_state, timeline.faults);
+  finish_phase(config, plan.empty(), timeline.reduce_phase);
 
-  // Fold the derived phase stats.  Speculative execution is intentionally
-  // not applied under faults: a backup copy's slot occupancy would interact
-  // with kills (DESIGN.md).
-  const auto finalize_phase = [](PhaseTimeline& phase) {
-    for (const TaskPlacement& placed : phase.tasks) {
-      phase.makespan_s = std::max(phase.makespan_s, placed.end_s);
-      if (placed.data_local) ++phase.data_local_tasks;
-    }
-  };
-  finalize_phase(timeline.map_phase);
-  finalize_phase(timeline.reduce_phase);
   timeline.total_s = config.job_startup_s + timeline.map_phase.makespan_s +
                      timeline.shuffle_s + timeline.reduce_phase.makespan_s;
   timeline.bytes = summarize_bytes(map_tasks, fetches, reduce_tasks);

@@ -83,7 +83,9 @@ class SimScheduler {
 
   [[nodiscard]] const ClusterConfig& config() const noexcept { return config_; }
 
-  /// Schedule one phase (map or reduce) over `slots_per_node` slots/node.
+  /// Schedule one phase (map or reduce) over `slots_per_node` slots/node on
+  /// always-up nodes, with speculation when the config enables it.  Throws
+  /// common::InvalidArgument for `slots_per_node == 0` with tasks to place.
   [[nodiscard]] PhaseTimeline schedule_phase(std::span<const TaskSpec> tasks,
                                              std::size_t slots_per_node) const;
 
@@ -140,53 +142,31 @@ struct JobTimeline {
   [[nodiscard]] std::string summary() const;
 };
 
-/// `job_name` labels the job's simulated-clock trace tracks and log lines.
-/// When the global obs::Tracer is enabled, every TaskPlacement is exported
-/// as a duration event on its node/slot track (plus a shuffle track), and
-/// the phase/task durations feed the global obs metrics registry.
+/// Simulate one job: map phase, shuffle, reduce phase, placed by
+/// SimScheduler's list scheduler.  `job_name` labels the job's
+/// simulated-clock trace tracks and log lines.  When the global obs::Tracer
+/// is enabled, every TaskPlacement is exported as a duration event on its
+/// node/slot track (plus a shuffle track), and the phase/task durations feed
+/// the global obs metrics registry.
 /// With a non-empty `fetches` stream, the shuffle is modeled per fetch
 /// (overlapped with the map phase; `shuffle_s` becomes only the tail that
 /// outlives the last map task) instead of as one aggregate transfer.
-JobTimeline simulate_job(const SimScheduler& scheduler,
-                         std::span<const TaskSpec> map_tasks,
-                         double shuffle_bytes,
-                         std::span<const FetchSpec> fetches,
-                         std::span<const TaskSpec> reduce_tasks,
-                         const std::string& job_name);
-
-/// Fault-aware twin: schedules the same job under `plan`'s node crashes.
-/// Attempts running on a node when it dies are killed and re-queued once the
-/// heartbeat timeout detects the crash; *completed* map attempts whose node
-/// dies before every reducer has fetched their output are invalidated and
-/// the map re-executes (Hadoop's fetch-failure path); a node crashing more
-/// than `plan.config().max_node_failures` times is blacklisted and never
-/// scheduled again.  Speculative execution is disabled under faults (a
-/// backup copy's slot occupancy would interact with kills; documented in
-/// DESIGN.md).  With an empty plan this is exactly the fault-free overload.
+/// `plan` injects node crashes: attempts running on a node when it dies are
+/// killed and re-queued once the heartbeat timeout detects the crash;
+/// *completed* map attempts whose node dies before every reducer has fetched
+/// their output are invalidated and the map re-executes (Hadoop's
+/// fetch-failure path); a node crashing more than
+/// `plan.config().max_node_failures` times is blacklisted and never
+/// scheduled again.  An empty plan is a cluster whose nodes are always up.
+/// Speculative execution applies only under an empty plan (a backup copy's
+/// slot occupancy would interact with kills; DESIGN.md §9).
 JobTimeline simulate_job(const SimScheduler& scheduler,
                          std::span<const TaskSpec> map_tasks,
                          double shuffle_bytes,
                          std::span<const FetchSpec> fetches,
                          std::span<const TaskSpec> reduce_tasks,
                          const std::string& job_name,
-                         const faults::FaultPlan& plan);
-
-inline JobTimeline simulate_job(const SimScheduler& scheduler,
-                                std::span<const TaskSpec> map_tasks,
-                                double shuffle_bytes,
-                                std::span<const TaskSpec> reduce_tasks,
-                                const std::string& job_name) {
-  return simulate_job(scheduler, map_tasks, shuffle_bytes, {}, reduce_tasks,
-                      job_name);
-}
-
-inline JobTimeline simulate_job(const SimScheduler& scheduler,
-                                std::span<const TaskSpec> map_tasks,
-                                double shuffle_bytes,
-                                std::span<const TaskSpec> reduce_tasks) {
-  return simulate_job(scheduler, map_tasks, shuffle_bytes, reduce_tasks,
-                      "job");
-}
+                         const faults::FaultPlan& plan = {});
 
 /// Convert a finished timeline into the job doctor's input directly: tasks
 /// keep their phase-index order.  Tests use it as the oracle that

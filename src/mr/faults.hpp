@@ -9,9 +9,11 @@
 // layer:
 //   * SimDfs        — apply_to_dfs() decommissions crashed nodes, which
 //                     drop their replicas and re-replicate deterministically;
-//   * SimScheduler  — simulate_job(..., plan) kills attempts, invalidates
-//                     map outputs, and shrinks/grows slot capacity with
-//                     crash/recovery (cluster.cpp);
+//   * SimScheduler  — simulate_job's placement loop reads the plan through
+//                     a NodeTracker: it kills attempts, invalidates map
+//                     outputs, and shrinks/grows slot capacity with
+//                     crash/recovery (cluster.cpp); an empty plan is a
+//                     cluster whose nodes are always up;
 //   * TaskGraph     — runtime::LostInputFailure re-executes completed maps
 //                     for real, so job *output* stays byte-identical while
 //                     the timeline re-pays the lost work;

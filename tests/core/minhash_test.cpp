@@ -113,39 +113,53 @@ TEST(MinHasher, RejectsBadK) {
 
 // --------------------------------------------------------------- estimators
 
+/// Score sketches a and b the way the pipeline does: PairScorer over a
+/// two-row SketchMatrix.
+double pair_score(const Sketch& a, const Sketch& b,
+                  SketchEstimator estimator = SketchEstimator::kComponentMatch) {
+  const std::vector<Sketch> rows{a, b};
+  const auto matrix = kernels::SketchMatrix::from_sketches(rows);
+  return candidates::PairScorer(matrix, estimator)(0, 1);
+}
+
 TEST(Estimators, IdenticalSketchesGiveOne) {
   const MinHasher hasher({.kmer = 4, .num_hashes = 32, .seed = 7});
   const Sketch sketch = hasher.sketch("ACGGTTAACCGGTTAA");
-  EXPECT_DOUBLE_EQ(component_match_similarity(sketch, sketch), 1.0);
-  EXPECT_DOUBLE_EQ(set_based_similarity(sketch, sketch), 1.0);
+  EXPECT_DOUBLE_EQ(pair_score(sketch, sketch), 1.0);
+  EXPECT_DOUBLE_EQ(pair_score(sketch, sketch, SketchEstimator::kSetBased),
+                   1.0);
 }
 
 TEST(Estimators, MismatchedLengthsHandled) {
-  EXPECT_DOUBLE_EQ(component_match_similarity({1, 2}, {1, 2, 3}), 0.0);
-  EXPECT_THROW((void)sketch_similarity({1}, {1, 2}, SketchEstimator::kComponentMatch),
+  // Sketches of different lengths never reach a scorer: the flat matrix
+  // every scorer reads rejects ragged input.
+  const std::vector<Sketch> ragged{{1, 2}, {1, 2, 3}};
+  EXPECT_THROW((void)kernels::SketchMatrix::from_sketches(ragged),
                common::InvalidArgument);
 }
 
 TEST(Estimators, KnownComponentMatchFraction) {
   const Sketch a{1, 2, 3, 4};
   const Sketch b{1, 2, 9, 9};
-  EXPECT_DOUBLE_EQ(component_match_similarity(a, b), 0.5);
+  EXPECT_DOUBLE_EQ(pair_score(a, b), 0.5);
 }
 
 TEST(Estimators, SetBasedUsesDistinctValues) {
   // a = {1,2}, b = {2,3}: intersection {2}, union {1,2,3}.
   const Sketch a{1, 2, 2, 1};
   const Sketch b{2, 3, 3, 2};
-  EXPECT_NEAR(set_based_similarity(a, b), 1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(pair_score(a, b, SketchEstimator::kSetBased), 1.0 / 3.0, 1e-12);
 }
 
 TEST(Estimators, DispatchMatchesDirectCalls) {
   const Sketch a{1, 2, 3, 4};
   const Sketch b{1, 5, 3, 6};
-  EXPECT_DOUBLE_EQ(sketch_similarity(a, b, SketchEstimator::kComponentMatch),
-                   component_match_similarity(a, b));
-  EXPECT_DOUBLE_EQ(sketch_similarity(a, b, SketchEstimator::kSetBased),
-                   set_based_similarity(a, b));
+  const std::vector<Sketch> rows{a, b};
+  const auto matrix = kernels::SketchMatrix::from_sketches(rows);
+  EXPECT_DOUBLE_EQ(pair_score(a, b, SketchEstimator::kComponentMatch),
+                   static_cast<double>(kernels::count_equal(a, b)) / 4.0);
+  EXPECT_DOUBLE_EQ(pair_score(a, b, SketchEstimator::kSetBased),
+                   SortedSketchStore(matrix).jaccard(0, 1));
 }
 
 // ------------------------------------- estimator accuracy (property sweeps)
@@ -179,8 +193,8 @@ TEST_P(EstimatorAccuracy, ComponentMatchConvergesToExactJaccard) {
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     const double exact = bio::exact_jaccard(a, b);
-    const double estimate = component_match_similarity(hasher.sketch_features(a),
-                                                       hasher.sketch_features(b));
+    const double estimate =
+        pair_score(hasher.sketch_features(a), hasher.sketch_features(b));
     // Binomial std-dev of the estimator ~ sqrt(J(1-J)/n); allow 4 sigma.
     const double sigma =
         std::sqrt(exact * (1 - exact) / static_cast<double>(num_hashes));
@@ -204,11 +218,9 @@ TEST(EstimatorAccuracy, LargerSketchesEstimateBetterOnAverage) {
     std::sort(b.begin(), b.end());
     const double exact = bio::exact_jaccard(a, b);
     error_small += std::fabs(
-        component_match_similarity(small.sketch_features(a), small.sketch_features(b)) -
-        exact);
+        pair_score(small.sketch_features(a), small.sketch_features(b)) - exact);
     error_large += std::fabs(
-        component_match_similarity(large.sketch_features(a), large.sketch_features(b)) -
-        exact);
+        pair_score(large.sketch_features(a), large.sketch_features(b)) - exact);
   }
   EXPECT_LT(error_large, error_small);
 }
@@ -223,10 +235,10 @@ TEST(EstimatorAccuracy, PaperLiteralModulusDegeneratesForSmallK) {
                            .modulus = bio::kmer_space_size(5)});
   const MinHasher sound({.kmer = 5, .num_hashes = 64, .seed = 13});
   auto [a, b] = sets_with_jaccard(0.0, 2000, rng);  // two disjoint 1000-sets
-  const double literal_sim = component_match_similarity(
-      literal.sketch_features(a), literal.sketch_features(b));
-  const double sound_sim = component_match_similarity(sound.sketch_features(a),
-                                                      sound.sketch_features(b));
+  const double literal_sim =
+      pair_score(literal.sketch_features(a), literal.sketch_features(b));
+  const double sound_sim =
+      pair_score(sound.sketch_features(a), sound.sketch_features(b));
   // Degenerate modulus: 1000 draws into 1024 buckets pile the minima near 0,
   // so disjoint sets collide on many components; the sound variant does not.
   EXPECT_GT(literal_sim, sound_sim + 0.2);
@@ -344,8 +356,8 @@ TEST(CMinHashScheme, EstimatesConvergeLikeUniversal) {
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     const double exact = bio::exact_jaccard(a, b);
-    const double estimate = component_match_similarity(
-        hasher.sketch_features(a), hasher.sketch_features(b));
+    const double estimate =
+        pair_score(hasher.sketch_features(a), hasher.sketch_features(b));
     const double sigma =
         std::sqrt(exact * (1 - exact) / static_cast<double>(num_hashes));
     EXPECT_NEAR(estimate, exact, 4 * sigma + 0.02) << "target=" << target;
@@ -358,6 +370,14 @@ TEST(SketchScheme, NamesAreStable) {
 }
 
 // --------------------------------------------------------- b-bit arithmetic
+
+TEST(BBitCorrection, ValidSketchBitsAreTheDivisorsOf64) {
+  for (std::size_t bits = 0; bits <= 65; ++bits) {
+    const bool divisor = bits == 1 || bits == 2 || bits == 4 || bits == 8 ||
+                         bits == 16 || bits == 32 || bits == 64;
+    EXPECT_EQ(valid_sketch_bits(bits), divisor) << "bits=" << bits;
+  }
+}
 
 TEST(BBitCorrection, CollisionFloorAndCorrectedSimilarity) {
   EXPECT_DOUBLE_EQ(bbit_collision_floor(1), 0.5);

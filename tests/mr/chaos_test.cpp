@@ -233,7 +233,7 @@ TEST(Chaos, CrashAfterTheJobEndsLeavesTheTimelineUntouched) {
 
   // The crash lands far beyond the job's last simulated instant: nothing to
   // kill, nothing to invalidate — the schedule must be bit-for-bit the
-  // fault-free one even though the faulted code path ran.
+  // fault-free one even though the plan is not empty.
   faults::FaultPlan plan({{2, 8.0 + base.total_s + 1000.0, faults::kNever}});
   const auto faulted = run_with_plan("chaos-late", plan, splits);
 
@@ -303,7 +303,7 @@ TEST(Chaos, DoctorFaultsSectionIsByteIdenticalAcrossIngestionPaths) {
   // Fault-free dry run (untraced) to aim the crashes: one mid-map on node
   // 1, one inside the barrier shuffle on node 2.
   const JobTimeline dry =
-      simulate_job(scheduler, maps, 1.0e8, reduces, "chaos dry");
+      simulate_job(scheduler, maps, 1.0e8, {}, reduces, "chaos dry");
   ASSERT_GT(dry.shuffle_s, 0.0);
   const faults::FaultPlan plan(
       {{1, config.job_startup_s + 0.4 * dry.map_phase.makespan_s,

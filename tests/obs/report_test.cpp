@@ -250,11 +250,11 @@ std::vector<JobInput> simulate_two_jobs(const std::string& trace_path) {
   }
   std::vector<mr::TaskSpec> reduces(5, {20.0, 2.5e6, 1.25e6, -1});
   const mr::JobTimeline first =
-      simulate_job(scheduler, maps, 2.3e8, reduces, "roundtrip A");
+      simulate_job(scheduler, maps, 2.3e8, {}, reduces, "roundtrip A");
 
   std::vector<mr::TaskSpec> lone_reduce{{55.5, 9.9e6, 1e3, -1}};
   const mr::JobTimeline second =
-      simulate_job(scheduler, {}, 7.7e7, lone_reduce, "roundtrip B");
+      simulate_job(scheduler, {}, 7.7e7, {}, lone_reduce, "roundtrip B");
 
   auto& tracer = obs::Tracer::global();
   tracer.set_output_path(trace_path);
@@ -402,7 +402,7 @@ TEST(ReportSink, FlushWritesTheFormatTheExtensionAsksFor) {
   const mr::SimScheduler scheduler(config);
   const std::vector<mr::TaskSpec> maps(4, {30.0, 1e6, 1e5, -1});
   const std::vector<mr::TaskSpec> reduces(2, {20.0, 1e6, 1e5, -1});
-  (void)simulate_job(scheduler, maps, 1e6, reduces, "unit");
+  (void)simulate_job(scheduler, maps, 1e6, {}, reduces, "unit");
 
   ASSERT_TRUE(sink.flush());
   std::ifstream html_in(html_path);
